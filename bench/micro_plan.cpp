@@ -65,11 +65,11 @@ ms_between(Clock::time_point a, Clock::time_point b)
 }
 
 /**
- * Small CNN covering both conv front-end shapes: the 3x3 stride-1 and
- * 1x1 layers resolve to the elided front end, the 2x2 stride-2 layer
- * (disjoint windows) to the fused one. The --dump-stats block runs it
- * so the CI BFREE_FORCE_FRONTEND sweep byte-compares conv statistics
- * across legacy/fused/elided, not just the FC-only MLP.
+ * Small CNN covering overlapping (3x3 stride 1), disjoint (2x2 stride
+ * 2) and 1x1 conv windows; every layer resolves to the elided front
+ * end. The --dump-stats block runs it so the CI BFREE_FORCE_FRONTEND
+ * sweep byte-compares conv statistics across legacy/elided, not just
+ * the FC-only MLP.
  */
 dnn::Network
 make_cnn()

@@ -13,8 +13,8 @@
  *
  *  - kernel_<isa>: steady-state conv/matmul MAC/s of the tiered span
  *    kernels with the dispatcher pinned to each ISA variant this
- *    binary carries AND this CPU supports (scalar always; sse42/avx2/
- *    avx512 on x86, neon on ARM). The headline conv number runs the
+ *    binary carries AND this CPU supports (scalar always; avx2/avx512
+ *    on x86). The headline conv number runs the
  *    gather-free histogram tally (the production default); a second
  *    conv point pins the delta-plane gather so the ablation
  *    hist_over_gather quantifies exactly what the factored fold buys.
@@ -25,13 +25,13 @@
  *    split into marshal (everything that produces int8 patches:
  *    quantize, im2col, staging, span materialization) vs the tiered
  *    span kernels, measured once per conv front-end mode (legacy,
- *    fused, elided) at the resolved ISA. Each mode section also
+ *    elided) at the resolved ISA. Each mode section also
  *    carries its modeled marshal traffic in bytes and the bandwidth
  *    that implies, so marshal cost can be cross-checked against the
  *    triad roof. The "stages" summary keeps the legacy per-stage keys
  *    for continuity and adds the auto-resolved mode's
  *    front_half_fraction and the e2e images/s uplift of auto over
- *    forced-legacy. The three modes must produce identical kernel
+ *    forced-legacy. The two modes must produce identical kernel
  *    checksums (byte-identical patches) or the run exits 2.
  *
  *  - roofline: the tiered MAC streams two int8 operands per multiply
@@ -168,7 +168,7 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
 /** Per-image marshal cost of one conv front-end mode. */
 struct MarshalResult
 {
-    double quantize = 0.0; ///< Plane quantize share (zero for fused).
+    double quantize = 0.0; ///< Plane quantize share.
     double marshal = 0.0;  ///< Everything producing patches, quantize
                            ///< included.
 
@@ -186,9 +186,8 @@ struct MarshalResult
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
  * -> 32 channels) with the production front half of core/functional.cc
  * replicated per mode, marshalling every output position's int8 patch
- * into one buffer — plane quantize + row-run im2col for legacy, the
- * fused quantize-into-patch kernel for fused, plane quantize + row
- * staging + slack8 span materialization for elided.
+ * into one buffer — plane quantize + row-run im2col for legacy, plane
+ * quantize + row staging + slack8 span materialization for elided.
  *
  * Marshal and kernel are timed SEPARATELY: the kernel loop reads only
  * the marshalled patch buffer, and the modes produce byte-identical
@@ -255,15 +254,6 @@ struct StageRig
                             + (std::size_t(oh) * out.w + ow)
                                   * patch_len);
             break;
-          case dnn::FrontendMode::Fused:
-            for (unsigned oh = 0; oh < out.h; ++oh)
-                for (unsigned ow = 0; ow < out.w; ++ow)
-                    dnn::im2col_quantize_patch(
-                        l, sq, in.data(), oh, ow,
-                        patches.data()
-                            + (std::size_t(oh) * out.w + ow)
-                                  * patch_len);
-            break;
           case dnn::FrontendMode::Elided: {
             dnn::quantize_span(sq, in.data(), in_elems, qin.data());
             quantize = seconds_since(t0);
@@ -318,9 +308,6 @@ struct StageRig
           case dnn::FrontendMode::Legacy:
             r.marshalBytes = 5.0 * static_cast<double>(in_elems)
                              + 2.0 * patch_bytes;
-            break;
-          case dnn::FrontendMode::Fused:
-            r.marshalBytes = 5.0 * patch_bytes;
             break;
           case dnn::FrontendMode::Elided:
             // Quantize + one whole-plane staging pass (write the
@@ -399,8 +386,7 @@ kernel_section(sim::SimdLevel level)
 }
 
 constexpr sim::SimdLevel all_levels[] = {
-    sim::SimdLevel::Scalar, sim::SimdLevel::Sse42, sim::SimdLevel::Neon,
-    sim::SimdLevel::Avx2, sim::SimdLevel::Avx512};
+    sim::SimdLevel::Scalar, sim::SimdLevel::Avx2, sim::SimdLevel::Avx512};
 
 } // namespace
 
@@ -488,17 +474,16 @@ main(int argc, char **argv)
     {
         const std::size_t marshal_reps = 400;
         const std::size_t kernel_reps = 40;
-        constexpr dnn::FrontendMode modes[] = {
-            dnn::FrontendMode::Legacy, dnn::FrontendMode::Fused,
-            dnn::FrontendMode::Elided};
+        constexpr dnn::FrontendMode modes[] = {dnn::FrontendMode::Legacy,
+                                               dnn::FrontendMode::Elided};
 
         StageRig rig;
         const dnn::FrontendMode auto_mode =
             dnn::resolve_frontend(rig.l, 8);
 
-        MarshalResult by_mode[3];
-        for (const dnn::FrontendMode mode : modes) {
-            const std::size_t m = static_cast<std::size_t>(mode);
+        MarshalResult by_mode[2];
+        for (std::size_t m = 0; m < 2; ++m) {
+            const dnn::FrontendMode mode = modes[m];
             by_mode[m] = rig.measure_marshal(mode, marshal_reps);
             // Byte-identity gate: every mode must marshal the same
             // patch bytes.
@@ -518,9 +503,9 @@ main(int argc, char **argv)
         const double kernel =
             rig.measure_kernel(kernel_reps, stage_checksum);
 
-        for (const dnn::FrontendMode mode : modes) {
-            const MarshalResult &s =
-                by_mode[static_cast<std::size_t>(mode)];
+        for (std::size_t m = 0; m < 2; ++m) {
+            const dnn::FrontendMode mode = modes[m];
+            const MarshalResult &s = by_mode[m];
             const double total = s.marshal + kernel;
             const std::string sec =
                 std::string("stages_") + dnn::frontend_mode_name(mode);
@@ -560,7 +545,7 @@ main(int argc, char **argv)
         // e2e uplift of auto over forced-legacy.
         const MarshalResult &lg = by_mode[0];
         const MarshalResult &au =
-            by_mode[static_cast<std::size_t>(auto_mode)];
+            by_mode[auto_mode == dnn::FrontendMode::Legacy ? 0 : 1];
         const double legacy_total = lg.marshal + kernel;
         const double auto_total = au.marshal + kernel;
         json.set("stages", "quantize_ms_per_image", 1e3 * lg.quantize);

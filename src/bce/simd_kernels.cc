@@ -11,9 +11,6 @@
 #include <immintrin.h>
 #define BFREE_X86_KERNELS 1
 #endif
-#if defined(__ARM_NEON)
-#include <arm_neon.h>
-#endif
 
 namespace bfree::bce::simd {
 
@@ -199,36 +196,6 @@ constexpr std::array<std::uint8_t, 16> id25_hi = id25_hi_table();
         (cls) = _mm256_blendv_epi8(rlo_, rhi_, m_);                      \
     } while (0)
 
-#define BFREE_CLASSIFY_CONSTS_128                                        \
-    const __m128i kT4 = _mm_loadu_si128(reinterpret_cast<const __m128i   \
-                                            *>(                          \
-        lut::DatapathTable::nibble_type.data()));                        \
-    const __m128i kId25Lo = _mm_loadu_si128(                             \
-        reinterpret_cast<const __m128i *>(id25_lo.data()));              \
-    const __m128i kId25Hi = _mm_loadu_si128(                             \
-        reinterpret_cast<const __m128i *>(id25_hi.data()));              \
-    const __m128i kNib = _mm_set1_epi8(0x0F);                            \
-    const __m128i k15 = _mm_set1_epi8(15);                               \
-    const __m128i k16 = _mm_set1_epi8(16)
-
-#define BFREE_CLASSIFY_128(v, cls)                                       \
-    do {                                                                 \
-        const __m128i u_ = _mm_abs_epi8(v);                              \
-        const __m128i lo_ = _mm_and_si128(u_, kNib);                     \
-        const __m128i hi_ = _mm_and_si128(_mm_srli_epi16(u_, 4), kNib);  \
-        const __m128i tl_ = _mm_shuffle_epi8(kT4, lo_);                  \
-        const __m128i th_ = _mm_shuffle_epi8(kT4, hi_);                  \
-        const __m128i s_ = _mm_add_epi8(                                 \
-            _mm_add_epi8(th_,                                            \
-                         _mm_slli_epi16(_mm_and_si128(th_, kNib), 2)),   \
-            tl_);                                                        \
-        const __m128i rlo_ = _mm_shuffle_epi8(kId25Lo, s_);              \
-        const __m128i rhi_ =                                             \
-            _mm_shuffle_epi8(kId25Hi, _mm_sub_epi8(s_, k16));            \
-        const __m128i m_ = _mm_cmpgt_epi8(s_, k15);                      \
-        (cls) = _mm_blendv_epi8(rlo_, rhi_, m_);                         \
-    } while (0)
-
 #define BFREE_CLASSIFY_CONSTS_512                                        \
     const __m512i kT4 = _mm512_broadcast_i32x4(_mm_loadu_si128(          \
         reinterpret_cast<const __m128i *>(                               \
@@ -270,15 +237,6 @@ hsum_u32x8(__m256i v)
     for (const std::uint32_t l : lane)
         sum += l;
     return sum;
-}
-
-/** Sum of four u32 lanes (SSE spill path). */
-__attribute__((target("sse4.2"))) std::uint64_t
-hsum_u32x4(__m128i v)
-{
-    alignas(16) std::uint32_t lane[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(lane), v);
-    return std::uint64_t{lane[0]} + lane[1] + lane[2] + lane[3];
 }
 
 /** Mod-2^32 sum of eight u32 lanes (the wrapping product reduce). */
@@ -346,20 +304,6 @@ reduce_features_u32x8(__m256i p, __m256i o, __m256i l, __m256i z,
     const __m256i polz = _mm256_hadd_epi32(po, lz);
     const __m128i r = _mm_add_epi32(_mm256_castsi256_si128(polz),
                                     _mm256_extracti128_si256(polz, 1));
-    f.p += static_cast<std::uint32_t>(_mm_extract_epi32(r, 0));
-    f.o += static_cast<std::uint32_t>(_mm_extract_epi32(r, 1));
-    f.l += static_cast<std::uint32_t>(_mm_extract_epi32(r, 2));
-    f.z += static_cast<std::uint32_t>(_mm_extract_epi32(r, 3));
-}
-
-/** The 128-bit form of the same hadd-tree feature reduce. */
-__attribute__((target("sse4.2"))) void
-reduce_features_u32x4(__m128i p, __m128i o, __m128i l, __m128i z,
-                      FeatureSums &f)
-{
-    const __m128i po = _mm_hadd_epi32(p, o);
-    const __m128i lz = _mm_hadd_epi32(l, z);
-    const __m128i r = _mm_hadd_epi32(po, lz);
     f.p += static_cast<std::uint32_t>(_mm_extract_epi32(r, 0));
     f.o += static_cast<std::uint32_t>(_mm_extract_epi32(r, 1));
     f.l += static_cast<std::uint32_t>(_mm_extract_epi32(r, 2));
@@ -567,85 +511,6 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 #pragma GCC diagnostic pop
 
 /**
- * SSE4.2 histogram-tally kernel: 16 pairs per step (pshufb/maddubs
- * are SSSE3, the widening converts SSE4.1).
- */
-__attribute__((target("sse4.2"))) SpanSums
-span_sse42_hist(const lut::DatapathTable &t, const std::int8_t *a,
-                const std::int8_t *b, std::size_t len)
-{
-    SpanSums s;
-    BFREE_CLASSIFY_CONSTS_128;
-    const __m128i kFP = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_p.data()));
-    const __m128i kFO = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_o.data()));
-    const __m128i kFL = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_l.data()));
-    const __m128i kFZ = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        lut::DatapathTable::class_feature_z.data()));
-    const __m128i kOne16 = _mm_set1_epi16(1);
-
-    __m128i accP = _mm_setzero_si128();
-    __m128i sP = accP, sO = accP, sL = accP, sZ = accP;
-    FeatureSums f;
-    std::uint32_t acc = 0;
-    std::size_t sinceSpill = 0;
-
-#define BFREE_SEP_SPILL_128()                                            \
-    do {                                                                 \
-        reduce_features_u32x4(_mm_madd_epi16(sP, kOne16),                \
-                              _mm_madd_epi16(sO, kOne16),                \
-                              _mm_madd_epi16(sL, kOne16),                \
-                              _mm_madd_epi16(sZ, kOne16), f);            \
-        sP = sO = sL = sZ = _mm_setzero_si128();                         \
-        sinceSpill = 0;                                                  \
-    } while (0)
-
-    std::size_t i = 0;
-    for (; i + 16 <= len; i += 16) {
-        const __m128i va =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i));
-        const __m128i vb =
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i));
-
-        const __m128i a0 = _mm_cvtepi8_epi16(va);
-        const __m128i a1 = _mm_cvtepi8_epi16(_mm_srli_si128(va, 8));
-        const __m128i b0 = _mm_cvtepi8_epi16(vb);
-        const __m128i b1 = _mm_cvtepi8_epi16(_mm_srli_si128(vb, 8));
-        accP = _mm_add_epi32(accP, _mm_madd_epi16(a0, b0));
-        accP = _mm_add_epi32(accP, _mm_madd_epi16(a1, b1));
-
-        __m128i ca, cb;
-        BFREE_CLASSIFY_128(va, ca);
-        BFREE_CLASSIFY_128(vb, cb);
-        sP = _mm_add_epi16(
-            sP, _mm_maddubs_epi16(_mm_shuffle_epi8(kFP, ca),
-                                  _mm_shuffle_epi8(kFP, cb)));
-        sO = _mm_add_epi16(
-            sO, _mm_maddubs_epi16(_mm_shuffle_epi8(kFO, ca),
-                                  _mm_shuffle_epi8(kFO, cb)));
-        sL = _mm_add_epi16(
-            sL, _mm_maddubs_epi16(_mm_shuffle_epi8(kFL, ca),
-                                  _mm_shuffle_epi8(kFL, cb)));
-        sZ = _mm_add_epi16(
-            sZ, _mm_maddubs_epi16(_mm_shuffle_epi8(kFZ, ca),
-                                  _mm_shuffle_epi8(kFZ, cb)));
-        if (++sinceSpill == sep_spill_block)
-            BFREE_SEP_SPILL_128();
-    }
-    BFREE_SEP_SPILL_128();
-#undef BFREE_SEP_SPILL_128
-    fold_features(f, t.cyclesFactor(), s);
-    acc += static_cast<std::uint32_t>(hsum_u32x4(accP));
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, false, false, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
-    return s;
-}
-
-/**
  * AVX2 gather variant: 8 operand pairs per step. Widening byte->dword
  * converts feed a mullo for the products (or a product-plane gather
  * when the table is poisoned), one dword gather fetches the packed
@@ -741,133 +606,7 @@ span_avx2(const lut::DatapathTable &t, const std::int8_t *a,
     return s;
 }
 
-/**
- * SSE4.2 gather variant: 4 pairs per step. Widening converts plus
- * pmulld cover the product side; without a hardware gather, the
- * packed deltas are fetched with scalar loads into the blocked tally.
- */
-__attribute__((target("sse4.2"))) SpanSums
-span_sse42(const lut::DatapathTable &t, const std::int8_t *a,
-           const std::int8_t *b, std::size_t len, bool clamp,
-           bool strict)
-{
-    SpanSums s;
-    const std::int32_t half = t.half();
-    const std::uint32_t span = t.span();
-    const std::int32_t *prod = t.products();
-    const std::uint32_t *delta = t.deltas();
-    const bool exact = t.productsExact();
-
-    const __m128i vhalf = _mm_set1_epi32(half);
-    const __m128i vspan = _mm_set1_epi32(static_cast<int>(span));
-    const __m128i vmin = _mm_set1_epi32(-half);
-    const __m128i vmax = _mm_set1_epi32(half - 1);
-
-    __m128i accP = _mm_setzero_si128();
-    std::uint32_t acc = 0;
-    TallyBlock tb;
-
-    std::size_t i = 0;
-    for (; i + 4 <= len; i += 4) {
-        std::int32_t wword, xword;
-        __builtin_memcpy(&wword, a + i, 4);
-        __builtin_memcpy(&xword, b + i, 4);
-        __m128i vw = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(wword));
-        __m128i vx = _mm_cvtepi8_epi32(_mm_cvtsi32_si128(xword));
-        if (clamp) {
-            vw = _mm_min_epi32(_mm_max_epi32(vw, vmin), vmax);
-            vx = _mm_min_epi32(_mm_max_epi32(vx, vmin), vmax);
-        } else if (strict) {
-            const __m128i bad = _mm_or_si128(
-                _mm_or_si128(_mm_cmpgt_epi32(vmin, vw),
-                             _mm_cmpgt_epi32(vw, vhalf)),
-                _mm_or_si128(_mm_cmpgt_epi32(vmin, vx),
-                             _mm_cmpgt_epi32(vx, vhalf)));
-            if (_mm_movemask_epi8(bad) != 0)
-                break; // scalar tail pinpoints the offender
-        }
-        const __m128i idx = _mm_add_epi32(
-            _mm_mullo_epi32(_mm_add_epi32(vw, vhalf), vspan),
-            _mm_add_epi32(vx, vhalf));
-        alignas(16) std::int32_t lane[4];
-        _mm_store_si128(reinterpret_cast<__m128i *>(lane), idx);
-        tb.add(delta[lane[0]], s);
-        tb.add(delta[lane[1]], s);
-        tb.add(delta[lane[2]], s);
-        tb.add(delta[lane[3]], s);
-        if (exact) {
-            accP = _mm_add_epi32(accP, _mm_mullo_epi32(vw, vx));
-        } else {
-            acc += static_cast<std::uint32_t>(prod[lane[0]]);
-            acc += static_cast<std::uint32_t>(prod[lane[1]]);
-            acc += static_cast<std::uint32_t>(prod[lane[2]]);
-            acc += static_cast<std::uint32_t>(prod[lane[3]]);
-        }
-    }
-    tb.spill(s);
-    alignas(16) std::uint32_t plane[4];
-    _mm_store_si128(reinterpret_cast<__m128i *>(plane), accP);
-    acc += plane[0] + plane[1] + plane[2] + plane[3];
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
-    return s;
-}
-
 #endif // BFREE_X86_KERNELS
-
-#ifdef __ARM_NEON
-
-/**
- * NEON variant: 8 pairs per step through a widening vmull_s8 (an
- * int8 x int8 product always fits int16, |p| <= 2^14), pairwise
- * accumulated into int32 lanes. Deltas are fetched scalar (no
- * gather). Clamp/strict/poisoned-table shapes delegate to the scalar
- * loop — they are either the 4-bit niche or the post-rewrite reseed
- * window, never the steady state.
- */
-SpanSums
-span_neon(const lut::DatapathTable &t, const std::int8_t *a,
-          const std::int8_t *b, std::size_t len, bool clamp, bool strict)
-{
-    if (t.bits() != 8 || !t.productsExact() || clamp || strict)
-        return span_scalar(t, a, b, len, clamp, strict);
-
-    SpanSums s;
-    const std::int32_t half = t.half();
-    const std::uint32_t span = t.span();
-    const std::uint32_t *delta = t.deltas();
-
-    int32x4_t accP = vdupq_n_s32(0);
-    std::uint32_t acc = 0;
-    TallyBlock tb;
-
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        const int8x8_t vw = vld1_s8(a + i);
-        const int8x8_t vx = vld1_s8(b + i);
-        accP = vpadalq_s16(accP, vmull_s8(vw, vx));
-        for (unsigned j = 0; j < 8; ++j) {
-            const std::size_t idx =
-                static_cast<std::size_t>(a[i + j] + half) * span
-                + static_cast<std::size_t>(b[i + j] + half);
-            tb.add(delta[idx], s);
-        }
-    }
-    tb.spill(s);
-    acc += static_cast<std::uint32_t>(vgetq_lane_s32(accP, 0))
-           + static_cast<std::uint32_t>(vgetq_lane_s32(accP, 1))
-           + static_cast<std::uint32_t>(vgetq_lane_s32(accP, 2))
-           + static_cast<std::uint32_t>(vgetq_lane_s32(accP, 3));
-
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
-    s.acc = static_cast<std::int32_t>(acc);
-    return s;
-}
-
-#endif // __ARM_NEON
 
 } // namespace
 
@@ -937,14 +676,6 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
         if (histogramEligible)
             return span_avx2_hist(table, a, b, len);
         return span_avx2(table, a, b, len, clamp, strict);
-      case sim::SimdLevel::Sse42:
-        if (histogramEligible)
-            return span_sse42_hist(table, a, b, len);
-        return span_sse42(table, a, b, len, clamp, strict);
-#endif
-#ifdef __ARM_NEON
-      case sim::SimdLevel::Neon:
-        return span_neon(table, a, b, len, clamp, strict);
 #endif
       default:
         return span_scalar(table, a, b, len, clamp, strict);

@@ -31,10 +31,11 @@
  *    the per-element delta-plane gather of the original SoA engine,
  *    with software prefetch on the operand streams.
  *
- * Variant selection is runtime CPU dispatch (sim/cpuid): one binary
- * carries scalar, SSE4.2, AVX2, AVX-512 and NEON paths, and CI pins
- * each via BFREE_FORCE_SCALAR / BFREE_FORCE_ISA / BFREE_TIERED_TALLY
- * to differentially verify them all on one host.
+ * Variant selection is runtime CPU dispatch (sim/cpuid): one x86
+ * binary carries scalar, AVX2 and AVX-512 paths (any other CPU runs the
+ * scalar reference), and CI pins each via BFREE_FORCE_SCALAR /
+ * BFREE_FORCE_ISA / BFREE_TIERED_TALLY to differentially verify them
+ * all on one host.
  */
 
 #ifndef BFREE_BCE_SIMD_KERNELS_HH

@@ -51,26 +51,20 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const std::size_t outHW = std::size_t(o.h) * o.w;
 
     if (bits <= 8) {
-        // All three front ends feed the identical per-(position,
-        // filter) dotProductSpan call sequence with identical patch
-        // bytes, so outputs AND statistics are byte-identical across
-        // modes — only the work done to produce each patch differs.
-        // The mode was chosen at plan compile (pl.frontend) and the
-        // arena was sized for exactly the allocations made here.
+        // Both front ends feed the identical per-(position, filter)
+        // dotProductSpan call sequence with identical patch bytes, so
+        // outputs AND statistics are byte-identical across modes —
+        // only the work done to produce each patch differs. The mode
+        // was chosen at plan compile (pl.frontend) and the arena was
+        // sized for exactly the allocations made here.
+        const bool elided = pl.frontend == dnn::FrontendMode::Elided;
         std::int8_t *patch = nullptr;
         std::int8_t *qin = nullptr;
         bce::simd::SpanView view;
         const std::int8_t *viewPlane = nullptr;
-        std::int8_t *staging = nullptr;
-        std::int32_t *offsets = nullptr;
         dnn::ElisionLayout el;
 
-        switch (pl.frontend) {
-          case dnn::FrontendMode::Fused:
-            // Quantize straight into the patch: no quantized plane.
-            patch = arena_.alloc<std::int8_t>(patch_len);
-            break;
-          case dnn::FrontendMode::Elided: {
+        if (elided) {
             // Quantize the plane once; padded layers stage the whole
             // zero-padded plane once more. After that the front half
             // is pure addressing: a per-layer run-offset table plus a
@@ -86,33 +80,30 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             dnn::quantize_span(qi, in, pl.inElems, qin);
             patch = arena_.alloc<std::int8_t>(
                 std::size_t(o.w) * patch_len + slack);
-            offsets = arena_.alloc<std::int32_t>(el.nRuns);
+            std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
             dnn::elided_offsets(layer, offsets);
             view.offsets = offsets;
             view.nRuns = el.nRuns;
             view.runLen = el.runLen;
             view.slack8 = true;
             if (el.staged) {
-                staging =
+                std::int8_t *staging =
                     arena_.alloc<std::int8_t>(el.stagingBytes + slack);
                 dnn::stage_plane_i8(layer, qin, staging);
                 viewPlane = staging;
             } else {
                 viewPlane = qin;
             }
-            break;
-          }
-          case dnn::FrontendMode::Legacy:
+        } else {
             // Quantize the whole input plane once, then each (oh, ow)
             // patch is row-run span copies out of the quantized map.
             qin = arena_.alloc<std::int8_t>(pl.inElems);
             dnn::quantize_span(qi, in, pl.inElems, qin);
             patch = arena_.alloc<std::int8_t>(patch_len);
-            break;
         }
 
         for (unsigned oh = 0; oh < o.h; ++oh) {
-            if (pl.frontend == dnn::FrontendMode::Elided) {
+            if (elided) {
                 // One call compacts the whole output row of patches.
                 view.base = viewPlane
                             + std::size_t(oh) * layer.strideH
@@ -123,18 +114,10 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
             }
             for (unsigned ow = 0; ow < o.w; ++ow) {
                 const std::int8_t *cur = patch;
-                switch (pl.frontend) {
-                  case dnn::FrontendMode::Fused:
-                    dnn::im2col_quantize_patch(layer, qi, in, oh, ow,
-                                               patch);
-                    break;
-                  case dnn::FrontendMode::Elided:
+                if (elided)
                     cur = patch + std::size_t(ow) * patch_len;
-                    break;
-                  case dnn::FrontendMode::Legacy:
+                else
                     dnn::im2col_patch_i8(layer, qin, oh, ow, patch);
-                    break;
-                }
                 for (unsigned k = 0; k < o.c; ++k) {
                     const std::int32_t acc = bce.dotProductSpan(
                         fw.q8.data() + std::size_t(k) * patch_len, cur,
@@ -357,8 +340,8 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
     arena_.reset();
     // Restart the high-water mark so highWater() reports the peak of
     // the plan actually run — a re-plan that sheds scratch (e.g. a
-    // fused front end eliding its quantized plane) must show the
-    // shrink instead of the old plan's ghost.
+    // different front end) must show the shrink instead of the old
+    // plan's ghost.
     arena_.resetHighWater();
     float *cur = arena_.alloc<float>(ps.maxActivationElems);
     float *next = arena_.alloc<float>(ps.maxActivationElems);

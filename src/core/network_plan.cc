@@ -113,7 +113,7 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                                           * layer.kernelH * layer.kernelW;
             if (bits > 8) {
                 // Wide precision: scalar multiplies over an int32
-                // patch; no int8 front end exists to fuse or elide.
+                // patch; no int8 front end exists to elide.
                 pl.scratchBytes =
                     TensorArena::paddedBytes<std::int32_t>(patch_len);
                 shape = {o.c, o.h, o.w};
@@ -124,20 +124,7 @@ plan_shapes(const dnn::Network &net, unsigned bits,
             // its exact arena demand recorded through the same
             // paddedBytes the runtime allocates with.
             pl.frontend = dnn::resolve_frontend(layer, bits);
-            const std::size_t planeBytes =
-                TensorArena::paddedBytes<std::int8_t>(
-                    layer.input.elements());
-            const std::size_t patchBytes =
-                TensorArena::paddedBytes<std::int8_t>(patch_len);
-            switch (pl.frontend) {
-              case dnn::FrontendMode::Fused:
-                // Quantize straight into the patch: the quantized
-                // plane allocation disappears.
-                pl.scratchBytes = patchBytes;
-                ps.fusedFrontLayers += 1;
-                ps.savedPlaneBytes += planeBytes;
-                break;
-              case dnn::FrontendMode::Elided: {
+            if (pl.frontend == dnn::FrontendMode::Elided) {
                 // Plane + a whole output ROW of patches, plus the
                 // addressing state: the per-layer run-offset table and,
                 // for padded layers, the staged zero-padded plane.
@@ -160,12 +147,12 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                                  el.stagingBytes + slack)
                            : 0);
                 ps.elidedFrontLayers += 1;
-                break;
-              }
-              case dnn::FrontendMode::Legacy:
-                pl.scratchBytes = planeBytes + patchBytes;
+            } else {
+                pl.scratchBytes =
+                    TensorArena::paddedBytes<std::int8_t>(
+                        layer.input.elements())
+                    + TensorArena::paddedBytes<std::int8_t>(patch_len);
                 ps.legacyFrontLayers += 1;
-                break;
             }
             shape = {o.c, o.h, o.w};
             elems = o.elements();

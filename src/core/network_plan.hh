@@ -83,7 +83,7 @@ struct PlannedLayer
     /**
      * How the layer's int8 patches are produced (conv at <= 8 bits
      * only; everything else is Legacy). Chosen at compile time by
-     * dnn::resolve_frontend — geometry policy plus the
+     * dnn::resolve_frontend — the policy plus the
      * BFREE_FORCE_FRONTEND override — and baked into the plan, so a
      * compiled plan keeps running the mode it was sized for even if
      * the override changes afterwards.
@@ -109,15 +109,7 @@ struct PlanStats
 
     // Front-end mode accounting (conv layers at <= 8 bits).
     std::size_t legacyFrontLayers = 0; ///< Conv layers on the legacy path.
-    std::size_t fusedFrontLayers = 0;  ///< Conv layers quantize-fused.
     std::size_t elidedFrontLayers = 0; ///< Conv layers with im2col elided.
-    /**
-     * Arena bytes of quantized input planes that fused layers no
-     * longer allocate (the sum of each fused layer's plane padding —
-     * the high-water mark shrinks by up to the largest single saving
-     * when the fused layer was the scratch peak).
-     */
-    std::size_t savedPlaneBytes = 0;
 };
 
 /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "sim/cpuid.hh"
 #include "sim/logging.hh"
@@ -37,49 +36,6 @@ quantize_span_scalar(const SymQuant &sq, const float *src, std::size_t n,
  * misrounds values one ulp below a .5 boundary, because the add
  * itself rounds.
  */
-
-__attribute__((target("sse4.2"))) void
-quantize_span_sse42(const SymQuant &sq, const float *src, std::size_t n,
-                    std::int8_t *dst)
-{
-    const __m128d vscale = _mm_set1_pd(sq.scale);
-    const __m128d vhalf = _mm_set1_pd(0.5);
-    const __m128d vone = _mm_set1_pd(1.0);
-    const __m128d vsign = _mm_set1_pd(-0.0);
-    const __m128d vmax = _mm_set1_pd(static_cast<double>(sq.limit));
-    const __m128d vmin = _mm_set1_pd(-static_cast<double>(sq.limit));
-
-#define BFREE_QROUND_PD_128(d, out)                                      \
-    do {                                                                 \
-        const __m128d x_ = _mm_div_pd(d, vscale);                        \
-        const __m128d y_ = _mm_round_pd(                                 \
-            x_, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);                 \
-        const __m128d f_ = _mm_sub_pd(x_, y_);                           \
-        const __m128d af_ = _mm_andnot_pd(vsign, f_);                    \
-        const __m128d m_ = _mm_cmpge_pd(af_, vhalf);                     \
-        const __m128d step_ = _mm_and_pd(                                \
-            m_, _mm_or_pd(_mm_and_pd(x_, vsign), vone));                 \
-        __m128d r_ = _mm_add_pd(y_, step_);                              \
-        r_ = _mm_min_pd(_mm_max_pd(r_, vmin), vmax);                     \
-        (out) = _mm_cvtpd_epi32(r_);                                     \
-    } while (0)
-
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128 v =
-            _mm_loadu_ps(src + i);
-        __m128i r0, r1;
-        BFREE_QROUND_PD_128(_mm_cvtps_pd(v), r0);
-        BFREE_QROUND_PD_128(_mm_cvtps_pd(_mm_movehl_ps(v, v)), r1);
-        const __m128i r32 = _mm_unpacklo_epi64(r0, r1);
-        const __m128i r16 = _mm_packs_epi32(r32, r32);
-        const __m128i r8 = _mm_packs_epi16(r16, r16);
-        const int word = _mm_cvtsi128_si32(r8);
-        std::memcpy(dst + i, &word, 4);
-    }
-#undef BFREE_QROUND_PD_128
-    quantize_span_scalar(sq, src + i, n - i, dst + i);
-}
 
 __attribute__((target("avx2"))) void
 quantize_span_avx2(const SymQuant &sq, const float *src, std::size_t n,
@@ -186,23 +142,6 @@ quantize_span_avx512(const SymQuant &sq, const float *src, std::size_t n,
 
 } // namespace
 
-QuantizeSpanFn
-quantize_span_fn()
-{
-    switch (sim::active_simd_level()) {
-#ifdef BFREE_X86_QUANTIZE
-      case sim::SimdLevel::Avx512:
-        return &quantize_span_avx512;
-      case sim::SimdLevel::Avx2:
-        return &quantize_span_avx2;
-      case sim::SimdLevel::Sse42:
-        return &quantize_span_sse42;
-#endif
-      default:
-        return &quantize_span_scalar;
-    }
-}
-
 void
 quantize_span(const SymQuant &sq, const float *src, std::size_t n,
               std::int8_t *dst)
@@ -210,7 +149,16 @@ quantize_span(const SymQuant &sq, const float *src, std::size_t n,
     if (sq.limit > 127)
         bfree_panic("quantize_span: limit ", sq.limit,
                     " exceeds the int8 domain");
-    quantize_span_fn()(sq, src, n, dst);
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_QUANTIZE
+      case sim::SimdLevel::Avx512:
+        return quantize_span_avx512(sq, src, n, dst);
+      case sim::SimdLevel::Avx2:
+        return quantize_span_avx2(sq, src, n, dst);
+#endif
+      default:
+        return quantize_span_scalar(sq, src, n, dst);
+    }
 }
 
 SymQuant

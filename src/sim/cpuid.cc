@@ -16,9 +16,7 @@ std::optional<SimdLevel> resolved;
 SimdLevel
 widest_available()
 {
-    for (const SimdLevel level :
-         {SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Neon,
-          SimdLevel::Sse42}) {
+    for (const SimdLevel level : {SimdLevel::Avx512, SimdLevel::Avx2}) {
         if (simd_level_compiled(level) && simd_level_supported(level))
             return level;
     }
@@ -30,13 +28,12 @@ SimdLevel
 parse_level(const char *name)
 {
     for (const SimdLevel level :
-         {SimdLevel::Scalar, SimdLevel::Sse42, SimdLevel::Neon,
-          SimdLevel::Avx2, SimdLevel::Avx512}) {
+         {SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512}) {
         if (!std::strcmp(name, simd_level_name(level)))
             return level;
     }
     bfree_fatal("BFREE_FORCE_ISA=", name, " is not a known ISA "
-                "(expected scalar, sse42, neon, avx2 or avx512)");
+                "(expected scalar, avx2 or avx512)");
 }
 
 /** Validate a requested level against the binary and the CPU. */
@@ -77,10 +74,6 @@ simd_level_name(SimdLevel level)
     switch (level) {
       case SimdLevel::Scalar:
         return "scalar";
-      case SimdLevel::Sse42:
-        return "sse42";
-      case SimdLevel::Neon:
-        return "neon";
       case SimdLevel::Avx2:
         return "avx2";
       case SimdLevel::Avx512:
@@ -95,16 +88,9 @@ simd_level_compiled(SimdLevel level)
     switch (level) {
       case SimdLevel::Scalar:
         return true;
-      case SimdLevel::Sse42:
       case SimdLevel::Avx2:
       case SimdLevel::Avx512:
 #if defined(__x86_64__) || defined(__i386__)
-        return true;
-#else
-        return false;
-#endif
-      case SimdLevel::Neon:
-#if defined(__ARM_NEON)
         return true;
 #else
         return false;
@@ -119,12 +105,6 @@ simd_level_supported(SimdLevel level)
     switch (level) {
       case SimdLevel::Scalar:
         return true;
-      case SimdLevel::Sse42:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("sse4.2") != 0;
-#else
-        return false;
-#endif
       case SimdLevel::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2") != 0;
@@ -140,13 +120,6 @@ simd_level_supported(SimdLevel level)
         return __builtin_cpu_supports("avx512f") != 0
                && __builtin_cpu_supports("avx512bw") != 0
                && __builtin_cpu_supports("avx512vl") != 0;
-#else
-        return false;
-#endif
-      case SimdLevel::Neon:
-#if defined(__ARM_NEON)
-        // AArch64 mandates Advanced SIMD; compiled in implies runnable.
-        return true;
 #else
         return false;
 #endif

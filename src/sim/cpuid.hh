@@ -2,18 +2,19 @@
  * @file
  * Runtime CPU-feature detection and SIMD dispatch policy.
  *
- * The tiered datapath's span kernels exist in several ISA variants
- * (scalar, SSE4.2, AVX2, AVX-512, NEON), all compiled into one binary
- * via function-level target attributes. This module decides, once per
- * process, which variant the dispatchers hand out:
+ * The tiered datapath's span kernels exist in three ISA variants
+ * (scalar, AVX2, AVX-512), all compiled into one x86 binary via
+ * function-level target attributes; other targets, and x86 CPUs
+ * without AVX2, run the scalar kernels, which are the bit-exact
+ * reference. This module decides, once per process, which variant the
+ * dispatchers hand out:
  *
  *  - by default, the widest level both compiled in AND reported by the
  *    CPU at runtime;
  *  - `BFREE_FORCE_SCALAR=1` in the environment forces the scalar
  *    fallback (CI uses this to differentially verify every SIMD
  *    variant against the scalar tier on one host);
- *  - `BFREE_FORCE_ISA=scalar|sse42|avx2|avx512|neon` pins one specific
- *    level.
+ *  - `BFREE_FORCE_ISA=scalar|avx2|avx512` pins one specific level.
  *    Requesting a level the binary lacks or the CPU cannot execute is
  *    a fatal configuration error — it fails loudly instead of silently
  *    degrading, so a CI matrix knows it exercised what it asked for.
@@ -28,17 +29,17 @@
 namespace bfree::sim {
 
 /** SIMD instruction-set levels the span kernels are specialized for,
- *  in strictly increasing width/priority order. */
+ *  in strictly increasing width/priority order. The numeric values
+ *  are recorded in committed bench JSON and stay fixed; 1 and 2 belong
+ *  to retired 128-bit levels. */
 enum class SimdLevel
 {
     Scalar = 0, ///< Portable fallback; also the BFREE_FORCE_SCALAR target.
-    Sse42 = 1,  ///< 128-bit x86 (SSE4.2: widening converts + pmulld).
-    Neon = 2,   ///< 128-bit AArch64 Advanced SIMD.
     Avx2 = 3,   ///< 256-bit x86 with hardware gather.
     Avx512 = 4, ///< 512-bit x86 (requires the F+BW+VL feature trio).
 };
 
-/** Human-readable name ("scalar", "sse42", "neon", "avx2", "avx512"). */
+/** Human-readable name ("scalar", "avx2", "avx512"). */
 const char *simd_level_name(SimdLevel level);
 
 /** True when this binary carries kernels for @p level (compile-time). */

@@ -118,9 +118,9 @@ enum class RuleId
     CapacityArena,  ///< capacity-arena: the TensorArena ledger is
                     ///< inconsistent or over budget.
     PlanFrontend,   ///< plan-frontend: a layer's recorded conv
-                    ///< front-end mode (fused/elided/legacy) is
-                    ///< invalid for its kind or precision, or
-                    ///< disagrees with the geometry policy.
+                    ///< front-end mode (elided/legacy) is invalid
+                    ///< for its kind or precision, or disagrees
+                    ///< with the front-end policy.
 
     // Serving-config rules.
     ServeQueue,   ///< serve-queue: zero-capacity request queue.

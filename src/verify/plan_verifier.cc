@@ -934,24 +934,24 @@ PlanVerifier::checkFrontend(const std::vector<core::PlannedLayer> &layers,
                << dnn::frontend_mode_name(pl.frontend) << "' on a "
                << (conv ? "wide-precision conv"
                         : dnn::layer_kind_name(pl.layer.kind))
-               << " layer: only int8 convolutions have a fused or "
-                  "elided front end";
+               << " layer: only int8 convolutions have an elided "
+                  "front end";
             report.add(RuleId::PlanFrontend, Severity::Error, tag,
                        os.str(), "recompile the plan");
             continue;
         }
         if (!conv || plan_bits > 8)
             continue;
-        // Every mode is byte-exact on an int8 conv; disagreeing with
-        // the live policy (geometry + any BFREE_FORCE_FRONTEND
-        // override) only costs performance, so it warns.
+        // Both modes are byte-exact on an int8 conv; disagreeing with
+        // the live policy (elided + any BFREE_FORCE_FRONTEND override)
+        // only costs performance, so it warns.
         const dnn::FrontendMode want =
             dnn::resolve_frontend(pl.layer, plan_bits);
         if (pl.frontend != want) {
             std::ostringstream os;
             os << "front-end mode '"
                << dnn::frontend_mode_name(pl.frontend)
-               << "' but the layer's geometry resolves to '"
+               << "' but the front-end policy resolves to '"
                << dnn::frontend_mode_name(want) << "'";
             report.add(RuleId::PlanFrontend, Severity::Warning, tag,
                        os.str(),

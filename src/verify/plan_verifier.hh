@@ -220,7 +220,7 @@ struct PlanVerifierOptions
     bool checkDatapath = true;
 
     /** Audit each layer's recorded conv front-end mode against its
-     *  kind, precision and geometry (rule plan-frontend). */
+     *  kind and precision (rule plan-frontend). */
     bool checkFrontend = true;
 };
 
@@ -287,13 +287,13 @@ class PlanVerifier
                     std::size_t arena_budget_bytes = 0) const;
 
     /**
-     * Front-end-mode audit (rule plan-frontend): a fused or elided
-     * mode on a non-conv layer or a > 8-bit conv is an error (no int8
-     * patch pipeline exists there); a conv mode that disagrees with
-     * what dnn::resolve_frontend would choose right now — geometry
-     * policy plus any live BFREE_FORCE_FRONTEND override — is a
-     * warning (every mode is still byte-exact, the plan just is not
-     * running the front end its geometry prefers).
+     * Front-end-mode audit (rule plan-frontend): an elided mode on a
+     * non-conv layer or a > 8-bit conv is an error (no int8 patch
+     * pipeline exists there); a conv mode that disagrees with what
+     * dnn::resolve_frontend would choose right now — the policy plus
+     * any live BFREE_FORCE_FRONTEND override — is a warning (both
+     * modes are byte-exact, the plan just is not running the front
+     * end the policy prefers).
      */
     void checkFrontend(const std::vector<core::PlannedLayer> &layers,
                        unsigned plan_bits, VerifyReport &report,

@@ -98,8 +98,7 @@ void
 for_each_runnable_level(Body &&body)
 {
     for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
+         {sim::SimdLevel::Scalar, sim::SimdLevel::Avx2,
           sim::SimdLevel::Avx512}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
@@ -281,8 +280,7 @@ run_out_of_range_matmul(sim::SimdLevel level)
 TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
 {
     for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
+         {sim::SimdLevel::Scalar, sim::SimdLevel::Avx2,
           sim::SimdLevel::Avx512}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
@@ -442,8 +440,7 @@ TEST(SimdKernels, HistogramAndGatherEnginesByteIdentical)
     // pinned to the histogram fold and one to the delta-plane gather,
     // fed the same spans. Sums, stats and energy must be identical.
     for (const sim::SimdLevel level :
-         {sim::SimdLevel::Sse42, sim::SimdLevel::Avx2,
-          sim::SimdLevel::Avx512}) {
+         {sim::SimdLevel::Avx2, sim::SimdLevel::Avx512}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;

@@ -302,8 +302,8 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
 
 TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
 {
-    // Disjoint windows (stride >= kernel) fuse quantization into the
-    // patch; overlapping windows (3x3 s1, 1x1) elide the im2col copy;
+    // Every conv at <= 8 bits elides the im2col copy, whether its
+    // windows overlap (3x3 s1), are disjoint (2x2 s2) or are 1x1;
     // wide precisions and non-conv layers stay legacy.
     Network net("front-mix", {3, 8, 8});
     net.add(make_conv("overlap", {3, 8, 8}, 4, 3, 1, 1));
@@ -315,11 +315,13 @@ TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
     const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
     ASSERT_EQ(plan.layers().size(), 3u);
     EXPECT_EQ(plan.layers()[0].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.layers()[1].frontend, FrontendMode::Fused);
+    EXPECT_EQ(plan.layers()[1].frontend, FrontendMode::Elided);
     EXPECT_EQ(plan.layers()[2].frontend, FrontendMode::Elided);
     EXPECT_EQ(plan.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(plan.stats().fusedFrontLayers, 1u);
-    EXPECT_EQ(plan.stats().elidedFrontLayers, 2u);
+    EXPECT_EQ(plan.stats().elidedFrontLayers, 3u);
+    // Committed bench JSON records the mode as a number.
+    EXPECT_EQ(0, static_cast<int>(FrontendMode::Legacy));
+    EXPECT_EQ(2, static_cast<int>(FrontendMode::Elided));
 
     // > 8-bit plans have no vectorized int8 front end at all: every
     // layer is Legacy and none is counted in the <= 8-bit front-end
@@ -328,44 +330,7 @@ TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
     for (const PlannedLayer &pl : wide.layers())
         EXPECT_EQ(pl.frontend, FrontendMode::Legacy) << pl.layer.name;
     EXPECT_EQ(wide.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().fusedFrontLayers, 0u);
     EXPECT_EQ(wide.stats().elidedFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().savedPlaneBytes, 0u);
-}
-
-TEST(NetworkPlan, FusedFrontendShrinksArenaByThePlaneBytes)
-{
-    // Fusing quantization into the patch deletes the quantized-plane
-    // scratch allocation: the compiled arena must shrink by exactly
-    // the bytes the plan reports as saved, and a forced-legacy plan
-    // must restore them.
-    Network net("disjoint-only", {4, 8, 8});
-    net.add(make_conv("d", {4, 8, 8}, 4, 2, 2, 0));
-    bfree::sim::Rng rng(9);
-    const NetworkWeights weights = random_weights(net, rng);
-
-    const NetworkPlan fused = NetworkPlan::compile(net, weights, 8);
-    ASSERT_EQ(fused.layers()[0].frontend, FrontendMode::Fused);
-    EXPECT_GT(fused.stats().savedPlaneBytes, 0u);
-
-    force_frontend(FrontendMode::Legacy);
-    const NetworkPlan legacy = NetworkPlan::compile(net, weights, 8);
-    reset_frontend();
-    ASSERT_EQ(legacy.layers()[0].frontend, FrontendMode::Legacy);
-    EXPECT_EQ(legacy.stats().savedPlaneBytes, 0u);
-    EXPECT_EQ(legacy.stats().arenaBytes,
-              fused.stats().arenaBytes + fused.stats().savedPlaneBytes);
-
-    // The shrunken plan still sizes its arena exactly: running the
-    // fused plan fills it to the byte (the high-water assertion in the
-    // steady-state test, repeated here for the elided accounting).
-    FloatTensor input({4, 8, 8});
-    input.fillUniform(rng, -1.0, 1.0);
-    std::vector<float> out(fused.outputElems());
-    FunctionalExecutor exec;
-    exec.runInto(fused, input.data(), fused.inputElems(), out.data(),
-                 out.size());
-    EXPECT_EQ(exec.arena().highWater(), fused.stats().arenaBytes);
 }
 
 TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
@@ -404,8 +369,8 @@ TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
 TEST(NetworkPlan, ForcedFrontendsAreBitwiseIdentical)
 {
     // Outputs AND datapath statistics must be byte-identical across
-    // the three forced front ends: every mode feeds the same patch
-    // bytes to the same dotProductSpan call sequence.
+    // the two forced front ends: both feed the same patch bytes to the
+    // same dotProductSpan call sequence.
     const Network net = make_tiny_cnn();
     bfree::sim::Rng rng(17);
     const NetworkWeights weights = random_weights(net, rng);
@@ -417,23 +382,28 @@ TEST(NetworkPlan, ForcedFrontendsAreBitwiseIdentical)
     FunctionalExecutor le;
     const FunctionalResult lr = le.run(lp, input);
 
-    force_frontend(FrontendMode::Fused);
-    const NetworkPlan fp = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor fe;
-    const FunctionalResult fr = fe.run(fp, input);
-
     force_frontend(FrontendMode::Elided);
     const NetworkPlan ep = NetworkPlan::compile(net, weights, 8);
     FunctionalExecutor ee;
     const FunctionalResult er = ee.run(ep, input);
     reset_frontend();
 
-    expect_bitwise_eq(fr.output, lr.output);
     expect_bitwise_eq(er.output, lr.output);
-    expect_stats_eq(fr.stats, lr.stats);
     expect_stats_eq(er.stats, lr.stats);
-    EXPECT_EQ(fe.energy().total(), le.energy().total());
     EXPECT_EQ(ee.energy().total(), le.energy().total());
+}
+
+TEST(NetworkPlanDeath, UnknownForcedFrontendIsFatal)
+{
+    // "fused" was a mode once: a stale script naming it must get the
+    // diagnostic, not a silent fallback to the policy.
+    for (const char *mode : {"fused", "turbo"}) {
+        ASSERT_EQ(0, setenv("BFREE_FORCE_FRONTEND", mode, 1));
+        EXPECT_DEATH(reset_frontend(), "not a known front-end mode")
+            << mode;
+    }
+    ASSERT_EQ(0, unsetenv("BFREE_FORCE_FRONTEND"));
+    reset_frontend();
 }
 
 TEST(NetworkPlanDeath, CompileRejectsWeightCountMismatch)

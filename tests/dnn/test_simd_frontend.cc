@@ -35,8 +35,7 @@ void
 for_each_runnable_level(Body &&body)
 {
     for (const sim::SimdLevel level :
-         {sim::SimdLevel::Scalar, sim::SimdLevel::Sse42,
-          sim::SimdLevel::Neon, sim::SimdLevel::Avx2,
+         {sim::SimdLevel::Scalar, sim::SimdLevel::Avx2,
           sim::SimdLevel::Avx512}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
@@ -227,7 +226,7 @@ expect_patches_match(const Layer &l, const std::string &ctx)
 
     const std::size_t patch_len =
         std::size_t(l.input.c) * l.kernelH * l.kernelW;
-    std::vector<std::int8_t> got(patch_len), want(patch_len);
+    std::vector<std::int8_t> got(patch_len + 1, 127), want(patch_len);
     const FeatureShape out = l.outputShape();
     for (unsigned oh = 0; oh < out.h; ++oh) {
         for (unsigned ow = 0; ow < out.w; ++ow) {
@@ -236,34 +235,45 @@ expect_patches_match(const Layer &l, const std::string &ctx)
             ASSERT_EQ(0,
                       std::memcmp(want.data(), got.data(), patch_len))
                 << ctx << " patch (" << oh << ", " << ow << ")";
+            ASSERT_EQ(127, got[patch_len])
+                << ctx << " wrote past the patch";
         }
     }
+}
+
+/** The conv shapes every front end must agree on: odd extents, stride
+ *  > 1, stride >= kernel (disjoint windows), kernels larger than the
+ *  padded border or the input, asymmetric kernels AND paddings, 1x1,
+ *  and channel counts off every lane multiple. */
+std::vector<Layer>
+frontend_cases()
+{
+    return {
+        make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
+        make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
+        make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
+        make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
+        make_conv("wide-pad", {3, 4, 4}, 2, 4, 3, 3),
+        make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
+        make_conv("one-by-one", {9, 5, 5}, 3, 1, 1, 0),
+        make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
+        make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
+        make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
+        make_conv2("asym2", {2, 9, 9}, 2, 7, 1, 2, 3, 0),
+        make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
+    };
 }
 
 } // namespace
 
 TEST(Im2ColPatchI8, RaggedShapesExactAtEveryLevel)
 {
-    // Odd extents, stride/pad edges, kernels larger than the padded
-    // border, channel counts off every lane multiple, and asymmetric
-    // kernels. Each case runs at every SIMD level because the
-    // quantized plane feeding the patch walk comes from quantize_span.
+    // Every front-end shape, at every SIMD level because the quantized
+    // plane feeding the patch walk comes from quantize_span: the
+    // production patch bytes must equal the per-element reference.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
-        const Layer cases[] = {
-            make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
-            make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
-            make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
-            make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
-            make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
-            make_conv("wide-pad", {3, 4, 4}, 2, 4, 3, 3),
-            make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
-            make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
-            make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
-            make_conv2("asym2", {2, 9, 9}, 2, 7, 1, 2, 3, 0),
-            make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
-        };
-        for (const Layer &l : cases)
+        for (const Layer &l : frontend_cases())
             expect_patches_match(l, ctx + " " + l.name);
     });
 }
@@ -320,86 +330,6 @@ TEST(Im2ColFloat, RowRunMatchesElementwiseReferenceExactly)
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Fused quantize-into-im2col
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** The conv shapes every front end must agree on: stride > 1, stride >
- *  kernel (the fused policy shape), asymmetric kernels AND paddings,
- *  kernels larger than the input, 1x1, and lane-straddling channel
- *  counts. */
-std::vector<Layer>
-frontend_cases()
-{
-    return {
-        make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
-        make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
-        make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
-        make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
-        make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
-        make_conv("one-by-one", {9, 5, 5}, 3, 1, 1, 0),
-        make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
-        make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
-        make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
-        make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
-    };
-}
-
-} // namespace
-
-TEST(Im2ColQuantizePatch, FusedMatchesLegacyBytesAtEveryLevel)
-{
-    // The fused front end must produce the exact bytes of the legacy
-    // quantize-plane-then-copy pipeline AND the per-element reference,
-    // at every SIMD level, for every edge shape — this byte identity
-    // is what makes forcing any front-end mode safe anywhere.
-    for_each_runnable_level([](sim::SimdLevel level) {
-        const std::string ctx = sim::simd_level_name(level);
-        for (const Layer &l : frontend_cases()) {
-            sim::Rng rng(96);
-            const std::size_t in_elems = l.input.elements();
-            std::vector<float> in(in_elems);
-            for (float &v : in)
-                v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
-
-            SymQuant sq;
-            sq.scale = 0.02;
-            std::vector<std::int8_t> qin(in_elems);
-            quantize_span(sq, in.data(), in_elems, qin.data());
-
-            const std::size_t patch_len =
-                std::size_t(l.input.c) * l.kernelH * l.kernelW;
-            std::vector<std::int8_t> fused(patch_len + 1, 127);
-            std::vector<std::int8_t> legacy(patch_len);
-            std::vector<std::int8_t> ref(patch_len);
-            const FeatureShape out = l.outputShape();
-            for (unsigned oh = 0; oh < out.h; ++oh) {
-                for (unsigned ow = 0; ow < out.w; ++ow) {
-                    im2col_quantize_patch(l, sq, in.data(), oh, ow,
-                                          fused.data());
-                    im2col_patch_i8(l, qin.data(), oh, ow,
-                                    legacy.data());
-                    reference_patch(l, sq, in.data(), oh, ow,
-                                    ref.data());
-                    ASSERT_EQ(0, std::memcmp(legacy.data(),
-                                             fused.data(), patch_len))
-                        << ctx << " " << l.name << " fused!=legacy ("
-                        << oh << "," << ow << ")";
-                    ASSERT_EQ(0, std::memcmp(ref.data(), fused.data(),
-                                             patch_len))
-                        << ctx << " " << l.name << " fused!=ref ("
-                        << oh << "," << ow << ")";
-                    ASSERT_EQ(127, fused[patch_len])
-                        << ctx << " " << l.name
-                        << " wrote past the patch";
-                }
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -354,7 +354,8 @@ TEST(PlanVerifierGolden, CompiledConvPlanFrontendAuditsClean)
 {
     // A freshly compiled conv plan records the modes resolve_frontend
     // picked, so the plan-frontend rule must stay silent — at both
-    // supported conv precisions and for an all-modes mix.
+    // int8 conv precisions and at 16 bits, where every layer is
+    // legacy.
     dnn::Network net("front-mix", dnn::FeatureShape{3, 8, 8});
     net.add(dnn::make_conv("overlap", {3, 8, 8}, 4, 3, 1, 1));
     net.add(dnn::make_conv("disjoint", {4, 8, 8}, 4, 2, 2, 0));
@@ -372,11 +373,11 @@ TEST(PlanVerifierGolden, CompiledConvPlanFrontendAuditsClean)
 
 TEST(PlanVerifierBroken, FrontendOnNonConvLayer)
 {
-    // A fused mode on an FC layer is an error: there is no int8 patch
-    // pipeline to reroute there.
+    // An elided mode on an FC layer is an error: there is no int8
+    // patch pipeline to reroute there.
     std::vector<core::PlannedLayer> layers(1);
     layers[0].layer = dnn::make_fc("fc", 16, 16);
-    layers[0].frontend = dnn::FrontendMode::Fused;
+    layers[0].frontend = dnn::FrontendMode::Elided;
     VerifyReport report;
     makeVerifier().checkFrontend(layers, 8, report);
     EXPECT_TRUE(report.has(RuleId::PlanFrontend));
@@ -398,8 +399,8 @@ TEST(PlanVerifierBroken, FrontendOnWidePrecisionConv)
 
 TEST(PlanVerifierBroken, FrontendDisagreesWithPolicyWarns)
 {
-    // Legacy on an overlapping conv is byte-exact but not what the
-    // geometry policy picks: a warning, not an error.
+    // Legacy on an int8 conv is byte-exact but not what the policy
+    // picks: a warning, not an error.
     std::vector<core::PlannedLayer> layers(1);
     layers[0].layer = dnn::make_conv("c", {1, 4, 4}, 2, 3, 1, 1);
     layers[0].frontend = dnn::FrontendMode::Legacy;

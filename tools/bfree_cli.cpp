@@ -310,15 +310,9 @@ main(int argc, char **argv)
                     "at compile)\n",
                     ps.frozenWeightBytes,
                     static_cast<unsigned long long>(ps.frozenValues));
-        if (ps.legacyFrontLayers + ps.fusedFrontLayers
-                + ps.elidedFrontLayers
-            > 0) {
-            std::printf("conv front end: %zu legacy, %zu fused, %zu "
-                        "elided; %zu B of quantized planes elided by "
-                        "fusion\n",
-                        ps.legacyFrontLayers, ps.fusedFrontLayers,
-                        ps.elidedFrontLayers, ps.savedPlaneBytes);
-        }
+        if (ps.legacyFrontLayers + ps.elidedFrontLayers > 0)
+            std::printf("conv front end: %zu legacy, %zu elided\n",
+                        ps.legacyFrontLayers, ps.elidedFrontLayers);
 
         // Amortization demo: run a batch through the plan so the reuse
         // counter is visible. Skipped when a layer only runs standalone
