@@ -11,7 +11,12 @@
  * warm-plan paths before any rate is reported.
  *
  * Output: a BenchJson document (--out FILE, default BENCH_pr5.json)
- * with plan_compile / whole_network / batch_Nt sections. With
+ * with plan_compile / whole_network / batch_Nt sections. Each
+ * whole_network section also reports cold_run_ms (a fresh executor's
+ * first run, with the shared datapath tables already built by an
+ * earlier executor), warm_run_ms (that executor's second run) and
+ * warm_over_cold = warm_run_ms / cold_run_ms, medians over fresh
+ * executors; these are reported only, never gated. With
  * --check-baseline FILE the run exits 1 when a tracked rate collapsed
  * more than 5x below the committed baseline (non-gating CI perf-smoke).
  *
@@ -20,6 +25,7 @@
  * determinism job byte-compares this at --threads 1 vs 8.
  */
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -62,6 +68,14 @@ double
 ms_between(Clock::time_point a, Clock::time_point b)
 {
     return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+/** Median of @p v (upper median for an even count). */
+double
+median(std::vector<double> v)
+{
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
 }
 
 /**
@@ -260,6 +274,32 @@ main(int argc, char **argv)
         std::printf("%-20s legacy %8.3f ms  warm plan %8.3f ms  "
                     "speedup %5.2fx\n",
                     section.c_str(), legacy_ms, warm_ms, speedup);
+
+        // Cold vs warm on process-warm tables: what a fresh executor
+        // (one per batch chunk) still pays on its first run.
+        const int fresh_execs = 5;
+        std::vector<double> cold_runs, warm_runs;
+        for (int r = 0; r < fresh_execs; ++r) {
+            core::FunctionalExecutor fresh;
+            const auto f0 = Clock::now();
+            (void)fresh.run(p, inputs[0]);
+            const auto f1 = Clock::now();
+            (void)fresh.run(p, inputs[0]);
+            const auto f2 = Clock::now();
+            cold_runs.push_back(ms_between(f0, f1));
+            warm_runs.push_back(ms_between(f1, f2));
+        }
+        const double cold_run_ms = median(cold_runs);
+        const double warm_run_ms = median(warm_runs);
+        const double warm_over_cold =
+            cold_run_ms > 0.0 ? warm_run_ms / cold_run_ms : 0.0;
+        json.set(section, "cold_run_ms", cold_run_ms);
+        json.set(section, "warm_run_ms", warm_run_ms);
+        json.set(section, "warm_over_cold", warm_over_cold);
+        std::printf("%-20s cold run %8.3f ms  warm run %8.3f ms  "
+                    "warm/cold %5.2f\n",
+                    section.c_str(), cold_run_ms, warm_run_ms,
+                    warm_over_cold);
     }
 
     // --- batched throughput ------------------------------------------

@@ -9,6 +9,17 @@
 
 namespace bfree::bce {
 
+namespace {
+
+/** The 49-entry multiply image loadMultLutImage() writes to the rows. */
+lut::LutImage
+mult_lut_image()
+{
+    return lut::serialize(lut::MultLut{});
+}
+
+} // namespace
+
 Bce::Bce(mem::Subarray &subarray, const tech::TechParams &tech,
          mem::EnergyAccount &energy)
     : sa(&subarray), tech(tech), energy(&energy)
@@ -72,8 +83,8 @@ Bce::loadMultLutImage()
 {
     if (multLutLoaded)
         return;
-    const lut::LutImage image = lut::serialize(lut::MultLut{});
-    sa->loadLut(image.bytes);
+    sa->loadLut(mult_lut_image().bytes);
+    pristineGeneration_ = sa->lutGeneration();
     multLutLoaded = true;
 }
 
@@ -85,12 +96,19 @@ Bce::loadConfig(const ConfigBlock &new_cb)
     chargeCycles(1);
 }
 
-std::int64_t
-Bce::lutMultiply4(unsigned a, unsigned b, lut::MicroOpCounts &counts)
-{
-    if (!multLutLoaded)
-        bfree_panic("conv-mode multiply before the LUT image was loaded");
+namespace {
 
+/**
+ * 4-bit multiply with the partial products read from LUT rows through
+ * @p peek (byte offset -> byte); micro-ops land in @p counts. No stats
+ * or energy side effects, so the same code both executes the legacy
+ * path and seeds every conv-mode datapath table.
+ */
+template <typename Peek>
+std::int64_t
+lut_multiply4(const Peek &peek, unsigned a, unsigned b,
+              lut::MicroOpCounts &counts)
+{
     using lut::OperandClass;
     const OperandClass ca = lut::classify_operand(a);
     const OperandClass cb_class = lut::classify_operand(b);
@@ -115,7 +133,7 @@ Bce::lutMultiply4(unsigned a, unsigned b, lut::MicroOpCounts &counts)
         const std::size_t offset =
             lut::MultLut::operandIndex(da.odd) * lut::num_odd_operands
             + lut::MultLut::operandIndex(db.odd);
-        const std::uint8_t value = sa->lutPeek(offset);
+        const std::uint8_t value = peek(offset);
         ++counts.lutLookups;
         product = std::int64_t{value} << total_shift;
         if (total_shift > 0)
@@ -124,9 +142,13 @@ Bce::lutMultiply4(unsigned a, unsigned b, lut::MicroOpCounts &counts)
     return product;
 }
 
+/** Signed multiply of @p bits precision through the LUT rows @p peek
+ *  reads, one nibble pair at a time; side-effect-free except for
+ *  @p counts. */
+template <typename Peek>
 std::int64_t
-Bce::multiplyViaSubarrayLut(std::int32_t a, std::int32_t b, unsigned bits,
-                            lut::MicroOpCounts &counts)
+multiply_via_lut_rows(const Peek &peek, std::int32_t a, std::int32_t b,
+                      unsigned bits, lut::MicroOpCounts &counts)
 {
     const unsigned nibbles = bits / 4;
     const bool negative = (a < 0) != (b < 0);
@@ -143,7 +165,7 @@ Bce::multiplyViaSubarrayLut(std::int32_t a, std::int32_t b, unsigned bits,
             const unsigned nb = (ub >> (4 * j)) & 0xF;
             if (nb == 0)
                 continue;
-            product += lutMultiply4(na, nb, counts) << (4 * (i + j));
+            product += lut_multiply4(peek, na, nb, counts) << (4 * (i + j));
             if (!first)
                 ++counts.adds;
             first = false;
@@ -152,34 +174,75 @@ Bce::multiplyViaSubarrayLut(std::int32_t a, std::int32_t b, unsigned bits,
     return negative ? -product : product;
 }
 
-const lut::DatapathTable &
-Bce::convTable(unsigned bits)
+/** Seed a conv-mode table for @p bits from the legacy path over the
+ *  LUT rows @p peek reads; the table can only reproduce the
+ *  reference. */
+template <typename Peek>
+lut::DatapathTable
+seed_conv_table(unsigned bits, const Peek &peek)
 {
-    lut::DatapathTable &t = bits == 4 ? convTable4_ : convTable8_;
-    if (!t.valid() || t.generation != sa->lutGeneration()) {
-        if (!multLutLoaded)
-            bfree_panic(
-                "conv-mode multiply before the LUT image was loaded");
-        // Seed from the legacy scalar path over the whole operand
-        // space; the table can only ever reproduce the reference.
-        t = lut::DatapathTable::build(
-            bits, [this, bits](std::int32_t a, std::int32_t b) {
-                lut::MultResult r;
-                r.product = multiplyViaSubarrayLut(a, b, bits, r.counts);
-                return r;
-            });
-        t.generation = sa->lutGeneration();
-        ++convSeeds_;
+    return lut::DatapathTable::build(
+        bits, [&](std::int32_t a, std::int32_t b) {
+            lut::MultResult r;
+            r.product = multiply_via_lut_rows(peek, a, b, bits, r.counts);
+            return r;
+        });
+}
+
+/**
+ * The process-wide conv table for @p bits (4 or 8) over the pristine
+ * multiply image: seeded on first use from the same bytes
+ * loadMultLutImage() writes, each precision on its own, and read-only
+ * afterwards.
+ */
+const lut::DatapathTable &
+pristine_conv_table(unsigned bits)
+{
+    const auto seed = [](unsigned b) {
+        const lut::LutImage image = mult_lut_image();
+        return seed_conv_table(
+            b, [&](std::size_t offset) { return image.bytes.at(offset); });
+    };
+    if (bits == 4) {
+        static const lut::DatapathTable t4 = seed(4);
+        return t4;
     }
-    return t;
+    static const lut::DatapathTable t8 = seed(8);
+    return t8;
+}
+
+} // namespace
+
+std::int64_t
+Bce::multiplyViaSubarrayLut(std::int32_t a, std::int32_t b, unsigned bits,
+                            lut::MicroOpCounts &counts)
+{
+    if (!multLutLoaded)
+        bfree_panic("conv-mode multiply before the LUT image was loaded");
+    return multiply_via_lut_rows(
+        [this](std::size_t offset) { return sa->lutPeek(offset); }, a, b,
+        bits, counts);
 }
 
 const lut::DatapathTable &
-Bce::romTable(unsigned bits)
+Bce::convTable(unsigned bits)
 {
-    lut::DatapathTable &t = bits == 4 ? romTable4_ : romTable8_;
-    if (!t.valid())
-        t = lut::build_rom_datapath_table(bits, rom);
+    if (!multLutLoaded)
+        bfree_panic("conv-mode multiply before the LUT image was loaded");
+    const std::uint64_t gen = sa->lutGeneration();
+    if (gen == pristineGeneration_)
+        return pristine_conv_table(bits);
+
+    // The rows were rewritten since the image load: seed a private
+    // table against the live bytes, tagged with their generation.
+    lut::DatapathTable &t = bits == 4 ? convTable4_ : convTable8_;
+    if (!t.matchesGeneration(gen)) {
+        t = seed_conv_table(bits, [this](std::size_t offset) {
+            return sa->lutPeek(offset);
+        });
+        t.generation = gen;
+        ++convSeeds_;
+    }
     return t;
 }
 
@@ -310,7 +373,7 @@ Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
 
     std::int32_t acc = 0;
     if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)) {
-        const lut::DatapathTable &t = romTable(bits);
+        const lut::DatapathTable &t = lut::rom_datapath_table(bits);
         const simd::SpanSums s = simd::run_span(
             t, a, b, len, simd::SpanSemantics::MatmulStrict);
         if (!s.inRange) {

@@ -21,7 +21,9 @@
  * mode/precision, seeded BY the legacy path over the whole operand
  * space) and exposes batched span kernels, turning a steady-state MAC
  * into one table read plus integer adds. Both tiers are bit- and
- * stat-exact by construction.
+ * stat-exact by construction. The tables are built once per process
+ * and shared read-only by every engine; only an engine whose LUT rows
+ * were rewritten after the image load seeds private conv tables.
  *
  * Energy is not booked per micro-op. The hot loops keep integer tallies
  * only (cycles per mode, ROM lookups, LUT-row reads, special-function
@@ -267,9 +269,10 @@ class Bce
     /** The attached sub-array. */
     mem::Subarray &subarray() { return *sa; }
 
-    /** Times a conv-mode datapath table has been (re)seeded — lets
-     *  tests prove a LUT-row rewrite mid-batch forces a reseed and a
-     *  matching generation does not. */
+    /** Times this engine has (re)seeded a private conv-mode datapath
+     *  table. Zero while the LUT rows hold the pristine image (the
+     *  shared table serves); lets tests prove each LUT-row rewrite
+     *  costs exactly one reseed per precision. */
     std::uint64_t convTableSeeds() const { return convSeeds_; }
 
   private:
@@ -279,24 +282,20 @@ class Bce
     /** Record conv-path LUT-row reads (mode-dependent cost category). */
     void noteConvLutReads(std::uint64_t n);
 
-    /** 4-bit multiply with partial products from the sub-array LUT;
-     *  micro-ops land in @p counts (no stats/energy side effects, so
-     *  the same code both executes and seeds memo tables). */
-    std::int64_t lutMultiply4(unsigned a, unsigned b,
-                              lut::MicroOpCounts &counts);
-
     /** Signed multiply routed through the sub-array LUT rows;
      *  side-effect-free except for @p counts. */
     std::int64_t multiplyViaSubarrayLut(std::int32_t a, std::int32_t b,
                                         unsigned bits,
                                         lut::MicroOpCounts &counts);
 
-    /** Memoized conv-mode table for @p bits (4 or 8); reseeded from the
-     *  legacy path whenever the sub-array LUT generation moves. */
+    /**
+     * Memoized conv-mode table for @p bits (4 or 8). While the LUT
+     * generation still equals the one recorded at loadMultLutImage()
+     * this is the process-wide pristine table; once loadLut or
+     * scratchWrite has rewritten the rows it is a private table,
+     * reseeded from the legacy path whenever the generation moves.
+     */
     const lut::DatapathTable &convTable(unsigned bits);
-
-    /** Memoized matmul-mode (hardwired ROM) table for @p bits. */
-    const lut::DatapathTable &romTable(unsigned bits);
 
     mem::Subarray *sa;
     tech::TechParams tech;
@@ -307,9 +306,9 @@ class Bce
     ExecTier _tier = ExecTier::Legacy;
     BceStats stats_;
     mem::BceEnergyTallies flushed_; ///< Tallies already converted.
-    lut::DatapathTable convTable4_, convTable8_;
-    lut::DatapathTable romTable4_, romTable8_;
-    std::uint64_t convSeeds_ = 0; ///< Conv-table (re)seed count.
+    lut::DatapathTable convTable4_, convTable8_; ///< Private, post-rewrite.
+    std::uint64_t pristineGeneration_ = 0; ///< LUT generation at image load.
+    std::uint64_t convSeeds_ = 0; ///< Private conv-table (re)seed count.
     bool multLutLoaded = false;
 };
 

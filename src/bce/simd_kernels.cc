@@ -1,6 +1,7 @@
 #include "simd_kernels.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -16,8 +17,10 @@ namespace bfree::bce::simd {
 
 namespace {
 
-/** The one resolved tally mode; std::nullopt until first use. */
-std::optional<TallyMode> resolvedTally;
+/** The one resolved tally mode; std::nullopt until first use. Atomic
+ *  for the same reason as sim::active_simd_level's cache: concurrent
+ *  first uses resolve the same value. */
+std::atomic<std::optional<TallyMode>> resolvedTally;
 
 TallyMode
 resolve_tally_from_environment()
@@ -625,9 +628,12 @@ tally_mode_name(TallyMode mode)
 TallyMode
 active_tally_mode()
 {
-    if (!resolvedTally)
-        resolvedTally = resolve_tally_from_environment();
-    return *resolvedTally;
+    std::optional<TallyMode> mode = resolvedTally.load();
+    if (!mode) {
+        mode = resolve_tally_from_environment();
+        resolvedTally.store(mode);
+    }
+    return *mode;
 }
 
 void

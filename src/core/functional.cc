@@ -656,9 +656,10 @@ run_functional_batch(const NetworkPlan &plan,
     const std::size_t chunks = std::min<std::size_t>(threads, n);
     const std::size_t per = (n + chunks - 1) / chunks;
 
-    // Contiguous chunks, one long-lived executor each: the memoized
-    // datapath tables and the arena are paid once per worker. Each
-    // input's BCE activity is captured as a snapshot delta into its
+    // Contiguous chunks, one executor each: the arena is sized once per
+    // worker, and the datapath tables are the process-wide shared ones
+    // (seeded once per process, not per call). Each input's BCE
+    // activity is captured as a snapshot delta into its
     // own slot, then reduced in input order below — integer sums in a
     // fixed order, so the totals cannot depend on scheduling.
     std::vector<bce::BceStats> perInput(n);

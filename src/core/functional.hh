@@ -17,7 +17,10 @@
  * plan, so they are bit-identical to the plan path by construction.
  * run_functional_batch() amortizes one plan across many inputs on the
  * work-stealing pool with outputs, statistics and energy bit-identical
- * to the sequential loop at any thread count.
+ * to the sequential loop at any thread count. The memoized datapath
+ * tables behind the tiered BCE are seeded once per process and shared
+ * read-only by every executor, so a fresh executor's first run pays no
+ * table seeding (see lut/datapath_table.hh).
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
@@ -68,7 +71,8 @@ class FunctionalExecutor
     /**
      * Run a compiled plan on @p input. The steady-state entry point:
      * no weight quantization, no heap allocation after the first call
-     * (which sizes the arena and seeds the memo tables).
+     * (which sizes the arena; the first use in the process also builds
+     * the shared datapath tables).
      */
     FunctionalResult run(const NetworkPlan &plan,
                          const dnn::FloatTensor &input);
@@ -247,8 +251,9 @@ struct BatchResult
 
 /**
  * Run @p plan over every input, fanning out across the work-stealing
- * pool in contiguous chunks (one long-lived executor per chunk, so the
- * memoized datapath tables are seeded once per worker, not per input).
+ * pool in contiguous chunks (one executor per chunk, so the arena is
+ * sized once per worker, not per input; the datapath tables are shared
+ * process-wide).
  * Outputs, statistics and energy are bit-identical to a sequential
  * loop for any thread count.
  */

@@ -53,10 +53,25 @@
  * The planes are SEEDED BY the legacy scalar path (the caller passes a
  * reference functor that runs the real decomposition), so the scalar
  * code remains the single source of truth: the memoized engine can
- * only ever reproduce it. Conv-mode tables additionally bake in the
- * bytes currently resident in the sub-array LUT rows, so their owner
- * must tag them with the sub-array's LUT generation and rebuild when
- * the rows are rewritten (see Subarray::lutGeneration()).
+ * only ever reproduce it.
+ *
+ * Lifecycle. A table never changes once built, and seeding books no
+ * statistics or energy, so the immutable tables are built at most once
+ * per process and shared read-only by every engine — the host analogue
+ * of BFree writing its LUT rows once in a configuration phase and only
+ * reading them afterwards:
+ *
+ *  - ROM-source (matmul) tables are a pure function of (bits, hardwired
+ *    MultLut): rom_datapath_table() builds each precision lazily, on
+ *    first use, independently of the other.
+ *
+ *  - Conv-source tables bake in the bytes resident in the sub-array LUT
+ *    rows. While the rows still hold the pristine multiply image the
+ *    engine serves one shared pristine table per precision (see
+ *    bce::Bce::convTable). Once the rows are rewritten the engine seeds
+ *    a private table, tags it with the sub-array's LUT generation and
+ *    reseeds whenever the rows change again (see
+ *    Subarray::lutGeneration()).
  */
 
 #ifndef BFREE_LUT_DATAPATH_TABLE_HH
@@ -501,6 +516,15 @@ class DatapathTable
  * path).
  */
 DatapathTable build_rom_datapath_table(unsigned bits, const MultLut &rom);
+
+/**
+ * The process-wide ROM-source table for @p bits (4 or 8) over the
+ * hardwired MultLut: built by build_rom_datapath_table() on first use
+ * (thread-safe; each precision on its own, so a 4-bit-only process
+ * never builds the 8-bit planes) and read-only afterwards. Every
+ * tiered engine and the plan auditor share this one object.
+ */
+const DatapathTable &rom_datapath_table(unsigned bits);
 
 } // namespace bfree::lut
 

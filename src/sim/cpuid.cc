@@ -1,5 +1,6 @@
 #include "cpuid.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -10,8 +11,10 @@ namespace bfree::sim {
 
 namespace {
 
-/** The one resolved level; std::nullopt until first use. */
-std::optional<SimdLevel> resolved;
+/** The one resolved level; std::nullopt until first use. Atomic because
+ *  the first use may come from several worker threads at once (their
+ *  resolutions agree, so whichever store lands is the same value). */
+std::atomic<std::optional<SimdLevel>> resolved;
 
 SimdLevel
 widest_available()
@@ -130,9 +133,12 @@ simd_level_supported(SimdLevel level)
 SimdLevel
 active_simd_level()
 {
-    if (!resolved)
-        resolved = resolve_from_environment();
-    return *resolved;
+    std::optional<SimdLevel> level = resolved.load();
+    if (!level) {
+        level = resolve_from_environment();
+        resolved.store(level);
+    }
+    return *level;
 }
 
 void

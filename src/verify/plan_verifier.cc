@@ -7,30 +7,12 @@
 #include "datapath_verifier.hh"
 #include "dnn/im2col.hh"
 #include "lut/datapath_table.hh"
-#include "lut/mult_lut.hh"
 #include "map/mapping.hh"
 #include "tech/row_layout.hh"
 
 namespace bfree::verify {
 
 namespace {
-
-/**
- * The ROM-seeded datapath table for @p bits the tiered engine will
- * memoize at run time, built once and shared by every audit: the
- * planes are a pure function of (bits, hardwired ROM), so re-deriving
- * the 66k-entry 8-bit plane per verified plan would be waste.
- */
-const lut::DatapathTable &
-audit_rom_table(unsigned bits)
-{
-    static const lut::MultLut rom;
-    static const lut::DatapathTable t4 =
-        lut::build_rom_datapath_table(4, rom);
-    static const lut::DatapathTable t8 =
-        lut::build_rom_datapath_table(8, rom);
-    return bits == 4 ? t4 : t8;
-}
 
 // ----------------------------------------------------------------------
 // Element accounting (mirrors core::NetworkPlan's dry planning pass)
@@ -441,9 +423,9 @@ PlanVerifier::verifyNetwork(const dnn::Network &net, unsigned expected_bits,
 
     // Split-plane audit: re-prove the datapath-table invariants the
     // SIMD span kernels trust (rules lut-plane-*) for every memoizable
-    // precision this plan executes at. The ROM-seeded table is the one
-    // the verifier can reach statically; conv tables are seeded
-    // against live LUT rows and are re-verified at dispatch through
+    // precision this plan executes at. The audited ROM table is the
+    // very process-wide object every tiered engine serves; conv tables
+    // depend on live LUT rows and are re-checked at dispatch through
     // their generation tags instead.
     if (opts.checkDatapath) {
         bool audited[17] = {};
@@ -455,7 +437,7 @@ PlanVerifier::verifyNetwork(const dnn::Network &net, unsigned expected_bits,
             audited[bits] = true;
             std::ostringstream os;
             os << "datapath table (" << bits << "-bit ROM)";
-            verify_datapath_planes(view_of(audit_rom_table(bits)),
+            verify_datapath_planes(view_of(lut::rom_datapath_table(bits)),
                                    report, os.str());
         }
     }

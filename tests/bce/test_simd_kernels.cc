@@ -6,19 +6,23 @@
  * establishes for the dispatcher's default pick, here swept across
  * every ISA this binary carries via force_simd_level. Also covers the
  * conv-table invalidation edges the SoA rewrite must preserve:
- * mid-batch LUT-row rewrites force a reseed (observable through
- * Bce::convTableSeeds) and a stale generation is never served.
+ * pristine rows are served from the shared tables, each mid-batch
+ * LUT-row rewrite forces one private reseed (observable through
+ * Bce::convTableSeeds), a stale generation is never served, and a
+ * poisoned engine never leaks into another engine's shared tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
-#include "lut/mult_lut.hh"
+#include "lut/datapath_table.hh"
 #include "sim/cpuid.hh"
 
 using namespace bfree;
@@ -335,27 +339,25 @@ TEST(SimdKernels, LutRowRewriteMidBatchForcesExactlyOneReseed)
     const std::vector<std::int8_t> a = pattern(64, 61, 127);
     const std::vector<std::int8_t> b = pattern(64, 62, 127);
 
+    // Pristine rows: the shared process-wide table serves, so the
+    // engine never seeds a private one.
     EXPECT_EQ(0u, e.bce.convTableSeeds());
-    (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
-    EXPECT_EQ(1u, e.bce.convTableSeeds()); // first use seeds
-
-    // Steady state: further spans reuse the memoized table.
     for (int i = 0; i < 5; ++i)
         (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
-    EXPECT_EQ(1u, e.bce.convTableSeeds());
+    EXPECT_EQ(0u, e.bce.convTableSeeds());
 
     // A LUT-row rewrite mid-batch moves the sub-array generation; the
-    // very next span must reseed once, then settle again.
+    // very next span must seed a private table once, then settle.
     e.subarray.scratchWrite(0, 42);
     (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
-    EXPECT_EQ(2u, e.bce.convTableSeeds());
+    EXPECT_EQ(1u, e.bce.convTableSeeds());
     (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
-    EXPECT_EQ(2u, e.bce.convTableSeeds());
+    EXPECT_EQ(1u, e.bce.convTableSeeds());
 
     // Every further rewrite moves the generation and costs one reseed.
     e.subarray.scratchWrite(1, 7);
     (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
-    EXPECT_EQ(3u, e.bce.convTableSeeds());
+    EXPECT_EQ(2u, e.bce.convTableSeeds());
 }
 
 TEST(SimdKernels, EachPrecisionSeedsItsOwnConvTable)
@@ -364,6 +366,13 @@ TEST(SimdKernels, EachPrecisionSeedsItsOwnConvTable)
     const std::vector<std::int8_t> a = pattern(32, 71, 7);
     const std::vector<std::int8_t> b = pattern(32, 72, 7);
 
+    // Both precisions start on their shared pristine tables.
+    (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
+    (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 4);
+    EXPECT_EQ(0u, e.bce.convTableSeeds());
+
+    // After a rewrite each precision seeds its own private table.
+    e.subarray.scratchWrite(0, 42);
     (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 8);
     EXPECT_EQ(1u, e.bce.convTableSeeds());
     (void)e.bce.dotProductSpan(a.data(), b.data(), a.size(), 4);
@@ -391,6 +400,62 @@ TEST(SimdKernels, StaleGenerationIsNeverServed)
     EXPECT_EQ(42, e.bce.dotProductSpan(&three, &three, 1, 8));
 }
 
+TEST(SimdKernels, PoisonedEngineNeverLeaksIntoTheSharedTables)
+{
+    // Engine A rewrites a LUT row every round and reseeds privately
+    // while engine B, on another thread, serves the same rounds from
+    // the shared pristine tables. B must match a pristine Legacy run
+    // exactly; A must match its Legacy twin given the same rewrites.
+    const std::vector<std::int8_t> a = pattern(512, 81, 127);
+    const std::vector<std::int8_t> b = pattern(512, 82, 127);
+    constexpr int rounds = 6;
+
+    const auto run_round = [&](Engine &e, std::vector<std::int32_t> &acc) {
+        for (const unsigned bits : {8u, 4u})
+            acc.push_back(e.bce.dotProductSpan(a.data(), b.data(),
+                                               a.size(), bits));
+    };
+    const auto poison = [](Engine &e, int round) {
+        e.subarray.scratchWrite(static_cast<std::size_t>(round) * 7,
+                                static_cast<std::uint8_t>(round + 1));
+    };
+
+    Engine engA(ExecTier::Tiered), engB(ExecTier::Tiered);
+    std::vector<std::int32_t> accA, accB;
+    {
+        std::barrier sync(2);
+        std::thread ta([&] {
+            for (int r = 0; r < rounds; ++r) {
+                sync.arrive_and_wait();
+                poison(engA, r);
+                run_round(engA, accA);
+            }
+        });
+        std::thread tb([&] {
+            for (int r = 0; r < rounds; ++r) {
+                sync.arrive_and_wait();
+                run_round(engB, accB);
+            }
+        });
+        ta.join();
+        tb.join();
+    }
+
+    Engine twinA(ExecTier::Legacy), pristine(ExecTier::Legacy);
+    std::vector<std::int32_t> wantA, wantB;
+    for (int r = 0; r < rounds; ++r) {
+        poison(twinA, r);
+        run_round(twinA, wantA);
+        run_round(pristine, wantB);
+    }
+    EXPECT_EQ(wantA, accA);
+    EXPECT_EQ(wantB, accB);
+    expect_engines_identical(twinA, engA, "poisoned engine A");
+    expect_engines_identical(pristine, engB, "pristine engine B");
+    EXPECT_EQ(0u, engB.bce.convTableSeeds());
+    EXPECT_EQ(2u * rounds, engA.bce.convTableSeeds());
+}
+
 // ---------------------------------------------------------------------
 // run_span contract details
 // ---------------------------------------------------------------------
@@ -399,12 +464,11 @@ TEST(SimdKernels, RunSpanReportsFirstOutOfRangeIndex)
 {
     Engine e(ExecTier::Tiered);
     e.bce.setMode(BceMode::Matmul);
-    // Build the 4-bit ROM table through a benign span first.
+    // Build the shared 4-bit ROM table through a benign span first.
     const std::int8_t ok[4] = {1, 2, 3, 4};
     (void)e.bce.matmulDotSpan(ok, ok, 4, 4);
 
-    const lut::DatapathTable t = lut::build_rom_datapath_table(
-        4, lut::MultLut{});
+    const lut::DatapathTable &t = lut::rom_datapath_table(4);
     const std::int8_t a[6] = {1, 2, 3, 9, 10, 1};
     const std::int8_t b[6] = {1, 1, 1, 1, 1, 1};
     const bce::simd::SpanSums s = bce::simd::run_span(

@@ -3,8 +3,10 @@
  * Execution-plan parity and steady-state guarantees: a compiled
  * NetworkPlan (weights frozen once) must match the legacy per-call
  * quantization path float-for-float, the batch runner must be
- * bit-identical to a sequential loop for any thread count, and the
- * steady-state path must make zero heap allocations.
+ * bit-identical to a sequential loop for any thread count, the
+ * steady-state path must make zero heap allocations, and executors
+ * racing the first build of the shared datapath tables must match a
+ * sequential run bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/functional.hh"
@@ -95,7 +99,95 @@ expect_bitwise_eq(const FloatTensor &a, const FloatTensor &b)
                              a.size() * sizeof(float)));
 }
 
+/** Outputs, statistics and per-category energy of one executor that
+ *  ran a fixed list of plans in order. */
+struct PlanRunRecord
+{
+    std::vector<FloatTensor> outputs;
+    bfree::bce::BceStats stats;
+    std::vector<double> joules;
+};
+
+PlanRunRecord
+run_plans(FunctionalExecutor &exec,
+          const std::vector<const NetworkPlan *> &plans,
+          const std::vector<FloatTensor> &inputs)
+{
+    PlanRunRecord rec;
+    for (std::size_t i = 0; i < plans.size(); ++i)
+        rec.outputs.push_back(exec.run(*plans[i], inputs[i]).output);
+    rec.stats = exec.stats();
+    const bfree::mem::EnergyAccount &account = exec.energy();
+    for (std::size_t c = 0; c < bfree::mem::num_energy_categories; ++c)
+        rec.joules.push_back(account.joules(
+            static_cast<bfree::mem::EnergyCategory>(c)));
+    return rec;
+}
+
 } // namespace
+
+// Defined first so that, in an unfiltered run of this binary, its
+// threads are the first users of every shared datapath table: they race
+// the lazy one-time builds, not tables some earlier test left warm.
+TEST(NetworkPlanShared, ConcurrentFirstUseMatchesSequentialRun)
+{
+    Network fc("fc8", {64, 1, 1});
+    fc.add(make_fc("fc1", 64, 32));
+    fc.add(make_activation("act1", LayerKind::Sigmoid, {32, 1, 1}));
+    fc.add(make_fc("fc2", 32, 10));
+    Network conv("conv8", {3, 8, 8});
+    conv.add(make_conv("c3x3", {3, 8, 8}, 8, 3, 1, 1));
+    conv.add(make_conv("c2x2s2", {8, 8, 8}, 4, 2, 2, 0));
+    const Network mixed = make_tiny_cnn();
+
+    bfree::sim::Rng rng(31);
+    const NetworkWeights fcW = random_weights(fc, rng);
+    const NetworkWeights convW = random_weights(conv, rng);
+    const NetworkWeights mixedW = random_weights(mixed, rng);
+    // verify = false: the plan audit would build the ROM tables here,
+    // before the threads start.
+    const NetworkPlan fc8 = NetworkPlan::compile(fc, fcW, 8, false);
+    const NetworkPlan conv8 = NetworkPlan::compile(conv, convW, 8, false);
+    const NetworkPlan mixed4 =
+        NetworkPlan::compile(mixed, mixedW, 4, false);
+    const std::vector<const NetworkPlan *> plans = {&fc8, &conv8,
+                                                    &mixed4};
+
+    std::vector<FloatTensor> inputs;
+    for (const Network *net : std::vector<const Network *>{&fc, &conv,
+                                                           &mixed}) {
+        const FeatureShape s = net->input();
+        FloatTensor in({s.c, s.h, s.w});
+        in.fillUniform(rng, -1.0, 1.0);
+        inputs.push_back(std::move(in));
+    }
+
+    constexpr std::size_t workers = 8;
+    std::vector<PlanRunRecord> got(workers);
+    {
+        std::latch start(workers);
+        std::vector<std::thread> threads;
+        for (std::size_t w = 0; w < workers; ++w)
+            threads.emplace_back([&, w] {
+                FunctionalExecutor exec;
+                start.arrive_and_wait();
+                got[w] = run_plans(exec, plans, inputs);
+            });
+        for (std::thread &t : threads)
+            t.join();
+    }
+
+    FunctionalExecutor seq;
+    const PlanRunRecord want = run_plans(seq, plans, inputs);
+    for (std::size_t w = 0; w < workers; ++w) {
+        SCOPED_TRACE("worker " + std::to_string(w));
+        ASSERT_EQ(got[w].outputs.size(), want.outputs.size());
+        for (std::size_t i = 0; i < want.outputs.size(); ++i)
+            expect_bitwise_eq(got[w].outputs[i], want.outputs[i]);
+        expect_stats_eq(got[w].stats, want.stats);
+        EXPECT_EQ(got[w].joules, want.joules);
+    }
+}
 
 TEST(NetworkPlan, EstimateMatchesCompileSizing)
 {

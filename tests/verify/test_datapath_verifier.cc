@@ -16,7 +16,6 @@
 
 #include "dnn/model_zoo.hh"
 #include "lut/datapath_table.hh"
-#include "lut/mult_lut.hh"
 #include "verify/datapath_verifier.hh"
 #include "verify/plan_verifier.hh"
 
@@ -26,6 +25,7 @@ using namespace bfree;
 using namespace bfree::verify;
 
 using lut::DatapathTable;
+using lut::rom_datapath_table;
 
 /** A mutable deep copy of a built table's planes. */
 struct PlaneFixture
@@ -47,15 +47,6 @@ struct PlaneFixture
     }
 };
 
-const DatapathTable &
-romTable(unsigned bits)
-{
-    static const lut::MultLut rom;
-    static const DatapathTable t4 = lut::build_rom_datapath_table(4, rom);
-    static const DatapathTable t8 = lut::build_rom_datapath_table(8, rom);
-    return bits == 4 ? t4 : t8;
-}
-
 // ----------------------------------------------------------------------
 // Golden fixtures
 // ----------------------------------------------------------------------
@@ -63,7 +54,8 @@ romTable(unsigned bits)
 TEST(DatapathVerifier, RomTablesPassClean)
 {
     for (const unsigned bits : {4u, 8u}) {
-        const VerifyReport report = verify_datapath_table(romTable(bits));
+        const VerifyReport report =
+            verify_datapath_table(rom_datapath_table(bits));
         EXPECT_TRUE(report.ok()) << report.toString();
         EXPECT_TRUE(report.diagnostics().empty());
     }
@@ -74,8 +66,8 @@ TEST(DatapathVerifier, RomTablesClaimBothFastPaths)
     // The auditor's exactness passes only bite when the flags are
     // claimed; prove the golden tables actually claim them.
     for (const unsigned bits : {4u, 8u}) {
-        EXPECT_TRUE(romTable(bits).productsExact());
-        EXPECT_TRUE(romTable(bits).histogramExact());
+        EXPECT_TRUE(rom_datapath_table(bits).productsExact());
+        EXPECT_TRUE(rom_datapath_table(bits).histogramExact());
     }
 }
 
@@ -106,7 +98,7 @@ TEST(DatapathVerifier, DatapathAuditCanBeDisabled)
 
 TEST(DatapathVerifier, UncoveredPrecisionFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.view.bits = 16;
     VerifyReport report;
     verify_datapath_planes(f.view, report, "fixture");
@@ -116,7 +108,7 @@ TEST(DatapathVerifier, UncoveredPrecisionFires)
 
 TEST(DatapathVerifier, SpanPrecisionMismatchFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.view.span = 16; // 2^4, off by the asymmetric +half endpoint.
     VerifyReport report;
     verify_datapath_planes(f.view, report, "fixture");
@@ -125,7 +117,7 @@ TEST(DatapathVerifier, SpanPrecisionMismatchFires)
 
 TEST(DatapathVerifier, TruncatedPlaneFiresShapeAndSkipsExactness)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.view.productCount -= 1;
     f.view.deltaCount -= 1;
     VerifyReport report;
@@ -138,7 +130,7 @@ TEST(DatapathVerifier, TruncatedPlaneFiresShapeAndSkipsExactness)
 
 TEST(DatapathVerifier, ShortPairDeltaTableFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.view.pairDeltaCount = 128;
     VerifyReport report;
     verify_datapath_planes(f.view, report, "fixture");
@@ -151,7 +143,7 @@ TEST(DatapathVerifier, ShortPairDeltaTableFires)
 
 TEST(DatapathVerifier, LyingProductsExactFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     ASSERT_TRUE(f.view.productsExact);
     f.products[f.products.size() / 2] += 1; // one poisoned product
     VerifyReport report;
@@ -164,7 +156,7 @@ TEST(DatapathVerifier, HonestInexactProductsPassClean)
 {
     // The same poisoned product with the flag honestly cleared is
     // exactly the gather fallback — not a finding.
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.products[f.products.size() / 2] += 1;
     f.view.productsExact = false;
     VerifyReport report;
@@ -174,7 +166,7 @@ TEST(DatapathVerifier, HonestInexactProductsPassClean)
 
 TEST(DatapathVerifier, LyingHistogramExactFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     ASSERT_TRUE(f.view.histogramExact);
     // One delta diverges from its class key: the collapse is broken.
     f.deltas[f.deltas.size() / 2] ^= 0x0101;
@@ -189,7 +181,7 @@ TEST(DatapathVerifier, FoldDivergenceFires)
     // (1, 1) class key gets the same wrong delta, so the class
     // collapse still holds but the bilinear feature fold the SIMD
     // kernels compute does not.
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     const std::uint8_t key = DatapathTable::class_key(1, 1);
     const std::uint32_t doctored =
         f.pairDeltas[key] + (1u << DatapathTable::delta_adds_shift);
@@ -207,7 +199,7 @@ TEST(DatapathVerifier, FoldDivergenceFires)
 
 TEST(DatapathVerifier, CyclesFactorOutOfRangeFires)
 {
-    PlaneFixture f{romTable(4)};
+    PlaneFixture f{rom_datapath_table(4)};
     f.view.cyclesFactor = 2;
     VerifyReport report;
     verify_datapath_planes(f.view, report, "fixture");
