@@ -1,10 +1,7 @@
 #include "simd_kernels.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 
 #include "sim/cpuid.hh"
 
@@ -16,25 +13,6 @@
 namespace bfree::bce::simd {
 
 namespace {
-
-/** The one resolved tally mode; std::nullopt until first use. Atomic
- *  for the same reason as sim::active_simd_level's cache: concurrent
- *  first uses resolve the same value. */
-std::atomic<std::optional<TallyMode>> resolvedTally;
-
-TallyMode
-resolve_tally_from_environment()
-{
-    const char *mode = std::getenv("BFREE_TIERED_TALLY");
-    if (mode == nullptr || mode[0] == '\0')
-        return TallyMode::Histogram;
-    if (!std::strcmp(mode, "histogram"))
-        return TallyMode::Histogram;
-    if (!std::strcmp(mode, "gather"))
-        return TallyMode::Gather;
-    bfree_fatal("BFREE_TIERED_TALLY=", mode, " is not a known tally "
-                "mode (expected histogram or gather)");
-}
 
 /**
  * Blocked scalar tally over packed micro-op deltas. Two u64
@@ -73,9 +51,11 @@ struct TallyBlock
 };
 
 /**
- * Scalar element loop over [begin, end); also the tail pass of every
- * SIMD variant. Accumulates into @p s / @p acc; returns false at the
- * first strict-domain violation (with firstOutOfRange set).
+ * Scalar element loop over [begin, end): the whole span for tables the
+ * fold cannot serve, and the rest of a span after the fold met a
+ * strict-domain violation. Accumulates into @p s / @p acc; returns
+ * false at the first strict-domain violation (with firstOutOfRange
+ * set).
  */
 bool
 scalar_range(const lut::DatapathTable &t, const std::int8_t *a,
@@ -230,18 +210,6 @@ constexpr std::array<std::uint8_t, 16> id25_hi = id25_hi_table();
         (cls) = _mm512_mask_blend_epi8(m_, rlo_, rhi_);                  \
     } while (0)
 
-/** Sum of eight u32 lanes, widened (store-and-add; spill path only). */
-__attribute__((target("avx2"))) std::uint64_t
-hsum_u32x8(__m256i v)
-{
-    alignas(32) std::uint32_t lane[8];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lane), v);
-    std::uint64_t sum = 0;
-    for (const std::uint32_t l : lane)
-        sum += l;
-    return sum;
-}
-
 /** Mod-2^32 sum of eight u32 lanes (the wrapping product reduce). */
 __attribute__((target("avx2"))) std::uint32_t
 wsum_u32x8(__m256i v)
@@ -314,17 +282,24 @@ reduce_features_u32x8(__m256i p, __m256i o, __m256i l, __m256i z,
 }
 
 /**
- * AVX2 histogram-tally kernel: 32 operand pairs per step, no table
- * access in the loop. Products via widening madd (exact: |a*b| <=
- * 2^14 fits int16 pairs, and wrapped mod-2^32 sums match the scalar
- * u32 accumulation); micro-op tallies via the factored class-feature
- * fold against the build-verified pairDeltas collapse. Only
- * dispatched for 8-bit productsExact+histogramExact tables, so no
- * clamp/strict handling exists here by construction.
+ * AVX2 histogram fold: 32 operand pairs per step, no table access in
+ * the loop. Products via widening madd (exact: |a*b| <= 2^14 fits
+ * int16 pairs, and wrapped mod-2^32 sums match the scalar u32
+ * accumulation); micro-op tallies via the factored class-feature fold
+ * against the build-verified pairDeltas collapse.
+ *
+ * 4-bit spans take the same fold. With @p clamp each operand byte is
+ * clamped to [-half, half - 1] before it is classified and multiplied;
+ * with @p strict each block is checked against [-half, +half] and a
+ * hit hands the rest of the span to scalar_range, which reports the
+ * first offender in element order. The ragged tail (len % 32) is one
+ * more step over a zero-filled copy: zero is class 0, whose features
+ * and product are all 0, so the padding lanes add nothing to any sum.
  */
 __attribute__((target("avx2"))) SpanSums
 span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
-               const std::int8_t *b, std::size_t len)
+               const std::int8_t *b, std::size_t len, bool clamp,
+               bool strict)
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_256;
@@ -341,6 +316,12 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
         reinterpret_cast<const __m128i *>(
             lut::DatapathTable::class_feature_z.data())));
     const __m256i kOne16 = _mm256_set1_epi16(1);
+    // Read only by 4-bit spans: the clamp range [kMin, kClampMax] and
+    // the strict magnitude limit kHalf.
+    const __m256i kMin = _mm256_set1_epi8(static_cast<char>(-t.half()));
+    const __m256i kClampMax =
+        _mm256_set1_epi8(static_cast<char>(t.half() - 1));
+    const __m256i kHalf = _mm256_set1_epi8(static_cast<char>(t.half()));
 
     __m256i accP = _mm256_setzero_si256();
     __m256i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -359,11 +340,33 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     } while (0)
 
     std::size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
+    for (; i < len; i += 32) {
+        __m256i va, vb;
+        if (len - i >= 32) {
+            va = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(a + i));
+            vb = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(b + i));
+        } else {
+            alignas(32) std::int8_t ta[32] = {}, tb[32] = {};
+            std::memcpy(ta, a + i, len - i);
+            std::memcpy(tb, b + i, len - i);
+            va = _mm256_load_si256(reinterpret_cast<const __m256i *>(ta));
+            vb = _mm256_load_si256(reinterpret_cast<const __m256i *>(tb));
+        }
+        if (clamp) {
+            va = _mm256_min_epi8(_mm256_max_epi8(va, kMin), kClampMax);
+            vb = _mm256_min_epi8(_mm256_max_epi8(vb, kMin), kClampMax);
+        } else if (strict) {
+            // Unsigned |v| (abs(-128) reads 128) exceeds half exactly
+            // when v is out of domain; the saturating subtract leaves
+            // a nonzero byte only there.
+            const __m256i over = _mm256_subs_epu8(
+                _mm256_max_epu8(_mm256_abs_epi8(va), _mm256_abs_epi8(vb)),
+                kHalf);
+            if (!_mm256_testz_si256(over, over))
+                break;
+        }
 
         const __m256i a0 =
             _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
@@ -399,23 +402,24 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
     fold_features(f, t.cyclesFactor(), s);
     acc += wsum_u32x8(accP);
 
-    // The guard is not cosmetic: the inlined scalar loop's setup costs
-    // hundreds of cycles even over an empty range, which dominated
-    // short spans.
+    // Only a strict-domain violation leaves elements unfolded.
     if (i < len)
-        scalar_range(t, a, b, i, len, false, false, acc, s);
+        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
 /**
- * AVX-512 histogram-tally kernel: 64 pairs per step, same factored
- * fold as the AVX2 variant in 512-bit lanes (BW byte shuffles,
- * mask-blended class compression).
+ * AVX-512 histogram fold: 64 pairs per step, same factored fold and
+ * clamp/strict handling as the AVX2 variant in 512-bit lanes (BW byte
+ * shuffles, mask-blended class compression). The ragged tail is one
+ * more step whose masked loads zero the lanes past len (and never
+ * touch their memory).
  */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) SpanSums
 span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
-                 const std::int8_t *b, std::size_t len)
+                 const std::int8_t *b, std::size_t len, bool clamp,
+                 bool strict)
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_512;
@@ -432,6 +436,12 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         reinterpret_cast<const __m128i *>(
             lut::DatapathTable::class_feature_z.data())));
     const __m512i kOne16 = _mm512_set1_epi16(1);
+    // Read only by 4-bit spans: the clamp range [kMin, kClampMax] and
+    // the strict magnitude limit kHalf.
+    const __m512i kMin = _mm512_set1_epi8(static_cast<char>(-t.half()));
+    const __m512i kClampMax =
+        _mm512_set1_epi8(static_cast<char>(t.half() - 1));
+    const __m512i kHalf = _mm512_set1_epi8(static_cast<char>(t.half()));
 
     __m512i accP = _mm512_setzero_si512();
     __m512i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -455,9 +465,23 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
     } while (0)
 
     std::size_t i = 0;
-    for (; i + 64 <= len; i += 64) {
-        const __m512i va = _mm512_loadu_si512(a + i);
-        const __m512i vb = _mm512_loadu_si512(b + i);
+    for (; i < len; i += 64) {
+        const __mmask64 lanes = len - i >= 64
+                                    ? ~__mmask64{0}
+                                    : (__mmask64{1} << (len - i)) - 1;
+        __m512i va = _mm512_maskz_loadu_epi8(lanes, a + i);
+        __m512i vb = _mm512_maskz_loadu_epi8(lanes, b + i);
+        if (clamp) {
+            va = _mm512_min_epi8(_mm512_max_epi8(va, kMin), kClampMax);
+            vb = _mm512_min_epi8(_mm512_max_epi8(vb, kMin), kClampMax);
+        } else if (strict
+                   && _mm512_cmpgt_epu8_mask(
+                          _mm512_max_epu8(_mm512_abs_epi8(va),
+                                          _mm512_abs_epi8(vb)),
+                          kHalf)
+                          != 0) {
+            break;
+        }
 
         const __m512i a0 =
             _mm512_cvtepi8_epi16(_mm512_castsi512_si256(va));
@@ -496,157 +520,18 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         _mm256_add_epi32(_mm512_castsi512_si256(accP),
                          _mm512_extracti64x4_epi64(accP, 1)));
 
-    // Up to 63 elements remain; the 256-bit kernel chews them 32 at a
-    // time (plus its own scalar tail), which beats walking them all
-    // through the table-indexed scalar loop.
-    if (i < len) {
-        const SpanSums tail = span_avx2_hist(t, a + i, b + i, len - i);
-        acc += static_cast<std::uint32_t>(tail.acc);
-        s.lookups += tail.lookups;
-        s.shifts += tail.shifts;
-        s.adds += tail.adds;
-        s.cycles += tail.cycles;
-    }
-    s.acc = static_cast<std::int32_t>(acc);
-    return s;
-}
-
-#pragma GCC diagnostic pop
-
-/**
- * AVX2 gather variant: 8 operand pairs per step. Widening byte->dword
- * converts feed a mullo for the products (or a product-plane gather
- * when the table is poisoned), one dword gather fetches the packed
- * deltas, and four masked lane accumulators implement the blocked
- * tally (spilled well before any u32 lane can saturate). The operand
- * streams are software-prefetched a few cache lines ahead; per-lane
- * prefetch of the gather targets was measured counterproductive (the
- * delta plane is cache-resident, so the extract/prefetch overhead
- * outweighs any latency it hides).
- */
-__attribute__((target("avx2"))) SpanSums
-span_avx2(const lut::DatapathTable &t, const std::int8_t *a,
-          const std::int8_t *b, std::size_t len, bool clamp, bool strict)
-{
-    SpanSums s;
-    const std::int32_t half = t.half();
-    const std::int32_t *prod = t.products();
-    const auto *delta = reinterpret_cast<const int *>(t.deltas());
-    const bool exact = t.productsExact();
-
-    const __m256i vhalf = _mm256_set1_epi32(half);
-    const __m256i vspan = _mm256_set1_epi32(static_cast<int>(t.span()));
-    const __m256i vmin = _mm256_set1_epi32(-half);
-    const __m256i vmax = _mm256_set1_epi32(half - 1);
-    const __m256i byteMask = _mm256_set1_epi32(0xFF);
-
-    __m256i accP = _mm256_setzero_si256();
-    __m256i f0 = accP, f1 = accP, f2 = accP, f3 = accP;
-    std::uint32_t acc = 0;
-
-    // Each u32 lane absorbs a <=255 field per step: spill long before
-    // 2^32 / 255 steps so the lanes can never saturate.
-    constexpr std::size_t spill_block = std::size_t{1} << 22;
-    std::size_t sinceSpill = 0;
-
-    std::size_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        _mm_prefetch(reinterpret_cast<const char *>(a + i + 256),
-                     _MM_HINT_T0);
-        _mm_prefetch(reinterpret_cast<const char *>(b + i + 256),
-                     _MM_HINT_T0);
-        __m256i vw = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(a + i)));
-        __m256i vx = _mm256_cvtepi8_epi32(_mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(b + i)));
-        if (clamp) {
-            vw = _mm256_min_epi32(_mm256_max_epi32(vw, vmin), vmax);
-            vx = _mm256_min_epi32(_mm256_max_epi32(vx, vmin), vmax);
-        } else if (strict) {
-            // Out-of-domain lanes would index outside the planes; let
-            // the scalar tail walk this block and pinpoint the first
-            // offender in element order.
-            const __m256i bad = _mm256_or_si256(
-                _mm256_or_si256(_mm256_cmpgt_epi32(vmin, vw),
-                                _mm256_cmpgt_epi32(vw, vhalf)),
-                _mm256_or_si256(_mm256_cmpgt_epi32(vmin, vx),
-                                _mm256_cmpgt_epi32(vx, vhalf)));
-            if (_mm256_movemask_epi8(bad) != 0)
-                break;
-        }
-        const __m256i idx = _mm256_add_epi32(
-            _mm256_mullo_epi32(_mm256_add_epi32(vw, vhalf), vspan),
-            _mm256_add_epi32(vx, vhalf));
-        const __m256i d = _mm256_i32gather_epi32(delta, idx, 4);
-        const __m256i p = exact
-                              ? _mm256_mullo_epi32(vw, vx)
-                              : _mm256_i32gather_epi32(prod, idx, 4);
-        accP = _mm256_add_epi32(accP, p);
-        f0 = _mm256_add_epi32(f0, _mm256_and_si256(d, byteMask));
-        f1 = _mm256_add_epi32(
-            f1, _mm256_and_si256(_mm256_srli_epi32(d, 8), byteMask));
-        f2 = _mm256_add_epi32(
-            f2, _mm256_and_si256(_mm256_srli_epi32(d, 16), byteMask));
-        f3 = _mm256_add_epi32(f3, _mm256_srli_epi32(d, 24));
-        if (++sinceSpill == spill_block) {
-            s.lookups += hsum_u32x8(f0);
-            s.shifts += hsum_u32x8(f1);
-            s.adds += hsum_u32x8(f2);
-            s.cycles += hsum_u32x8(f3);
-            f0 = f1 = f2 = f3 = _mm256_setzero_si256();
-            sinceSpill = 0;
-        }
-    }
-    s.lookups += hsum_u32x8(f0);
-    s.shifts += hsum_u32x8(f1);
-    s.adds += hsum_u32x8(f2);
-    s.cycles += hsum_u32x8(f3);
-    acc += static_cast<std::uint32_t>(hsum_u32x8(accP));
-
+    // Only a strict-domain violation leaves elements unfolded.
     if (i < len)
         scalar_range(t, a, b, i, len, clamp, strict, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
+#pragma GCC diagnostic pop
+
 #endif // BFREE_X86_KERNELS
 
 } // namespace
-
-const char *
-tally_mode_name(TallyMode mode)
-{
-    switch (mode) {
-      case TallyMode::Histogram:
-        return "histogram";
-      case TallyMode::Gather:
-        return "gather";
-    }
-    return "unknown";
-}
-
-TallyMode
-active_tally_mode()
-{
-    std::optional<TallyMode> mode = resolvedTally.load();
-    if (!mode) {
-        mode = resolve_tally_from_environment();
-        resolvedTally.store(mode);
-    }
-    return *mode;
-}
-
-void
-force_tally_mode(TallyMode mode)
-{
-    resolvedTally = mode;
-}
-
-void
-reset_tally_mode()
-{
-    resolvedTally = resolve_tally_from_environment();
-}
 
 SpanSums
 run_span(const lut::DatapathTable &table, const std::int8_t *a,
@@ -660,32 +545,28 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
     const bool strict =
         semantics == SpanSemantics::MatmulStrict && table.bits() == 4;
 
-    // The gather-free tally requires the pristine steady state: every
-    // product exact (widening multiply legal) and the whole delta
-    // plane verified against the class collapse. 8-bit operands are
-    // always in-domain, so no clamp/strict handling is needed there
-    // by construction. Everything else gathers.
-    [[maybe_unused]] const bool histogramEligible =
-        active_tally_mode() == TallyMode::Histogram
-        && table.bits() == 8 && table.productsExact()
-        && table.histogramExact();
+    // The fold requires the pristine steady state: every product exact
+    // (widening multiply legal) and the whole delta plane verified
+    // against the class collapse. A rewritten LUT row or a doctored
+    // table walks the scalar table loop at every level.
+    [[maybe_unused]] const bool foldable =
+        table.productsExact() && table.histogramExact();
 
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512:
-        if (histogramEligible)
-            return span_avx512_hist(table, a, b, len);
-        // Gather fallback reuses the AVX2 kernel: AVX-512 adds
-        // nothing to a latency-bound gather loop.
-        return span_avx2(table, a, b, len, clamp, strict);
+        if (foldable)
+            return span_avx512_hist(table, a, b, len, clamp, strict);
+        break;
       case sim::SimdLevel::Avx2:
-        if (histogramEligible)
-            return span_avx2_hist(table, a, b, len);
-        return span_avx2(table, a, b, len, clamp, strict);
+        if (foldable)
+            return span_avx2_hist(table, a, b, len, clamp, strict);
+        break;
 #endif
       default:
-        return span_scalar(table, a, b, len, clamp, strict);
+        break;
     }
+    return span_scalar(table, a, b, len, clamp, strict);
 }
 
 namespace {

@@ -10,32 +10,33 @@
  * books identical statistics (and therefore identical energy) no
  * matter which ISA variant ran.
  *
- * Two tally strategies exist, selectable with BFREE_TIERED_TALLY and
- * verified byte-identical against each other and the scalar loop:
+ * One kernel family serves every table the class collapse verifies,
+ * at 4 and 8 bits and on spans of any length: products come from a
+ * SIMD widening multiply and the micro-op tallies from the table's
+ * verified 256-bin class-pair collapse (DatapathTable::pairDeltas).
+ * The fold is computed in factored form — four per-class feature dot
+ * products accumulated with byte shuffles and maddubs, mathematically
+ * identical to materializing the 256-bin histogram and folding it
+ * against pairDeltas(), but without the store-forwarding stalls a
+ * binned counter array suffers on skewed class distributions.
  *
- *  - HISTOGRAM (default, the gather-free steady state): products come
- *    from a SIMD widening multiply and the micro-op tallies from the
- *    table's verified 256-bin class-pair collapse
- *    (DatapathTable::pairDeltas). The fold is computed in factored
- *    form — four per-class feature dot products accumulated with byte
- *    shuffles and maddubs, mathematically identical to materializing
- *    the 256-bin histogram and folding it against pairDeltas(), but
- *    without the store-forwarding stalls a binned counter array
- *    suffers on skewed class distributions. Eligible only when the
- *    table reports productsExact() AND histogramExact(); anything
- *    else — a poisoned LUT row, a reference whose counts defeat the
- *    class collapse, 4-bit clamp/strict spans — takes the gather
- *    path.
- *
- *  - GATHER (the fallback, also forceable for differential testing):
- *    the per-element delta-plane gather of the original SoA engine,
- *    with software prefetch on the operand streams.
+ *  - 4-bit conv spans (ConvClamp) clamp the operand bytes in-register
+ *    before they are classified and multiplied; 4-bit matmul spans
+ *    (MatmulStrict) check each block and hand the rest of the span to
+ *    the scalar loop on a violation, which reports the first offender
+ *    in element order.
+ *  - The ragged tail of a span is one more step of the same fold over
+ *    zero-filled lanes (masked loads on AVX-512, a zeroed copy on
+ *    AVX2). Zero is class 0 with zero features and zero product, so
+ *    padding adds nothing to any sum.
+ *  - A table that does not report productsExact() AND
+ *    histogramExact() — a rewritten LUT row, a doctored test table —
+ *    walks the scalar table loop at every level.
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one x86
  * binary carries scalar, AVX2 and AVX-512 paths (any other CPU runs the
  * scalar reference), and CI pins each via BFREE_FORCE_SCALAR /
- * BFREE_FORCE_ISA / BFREE_TIERED_TALLY to differentially verify them
- * all on one host.
+ * BFREE_FORCE_ISA to differentially verify them all on one host.
  */
 
 #ifndef BFREE_BCE_SIMD_KERNELS_HH
@@ -74,33 +75,6 @@ enum class SpanSemantics
      *  analyzer panics); the kernel reports the first offender. */
     MatmulStrict,
 };
-
-/** Micro-op tally strategy for the dispatched span kernels. */
-enum class TallyMode
-{
-    /** Gather-free class tally from pairDeltas() where the table
-     *  qualifies; the default. */
-    Histogram = 0,
-    /** Per-element delta-plane gather everywhere (the fallback path,
-     *  pinnable for differential testing and ablation). */
-    Gather = 1,
-};
-
-/** Human-readable name ("histogram", "gather"). */
-const char *tally_mode_name(TallyMode mode);
-
-/**
- * The tally strategy the dispatcher uses: Histogram unless the
- * BFREE_TIERED_TALLY environment override says otherwise. Resolved
- * once and cached; an unknown value is fatal at first use.
- */
-TallyMode active_tally_mode();
-
-/** Pin the tally mode programmatically (tests/benchmarks). */
-void force_tally_mode(TallyMode mode);
-
-/** Drop a force_tally_mode pin and re-resolve from the environment. */
-void reset_tally_mode();
 
 /**
  * Run the dispatched span kernel: sum of products and micro-op

@@ -21,16 +21,16 @@
  *    backing LUT rows hold the pristine multiply image — the table
  *    additionally reports productsExact(), and the kernels skip the
  *    plane entirely in favour of a SIMD widening-multiply. A rewritten
- *    (poisoned) LUT row clears the flag and the kernels gather from
- *    the plane instead, preserving bit-exactness against the legacy
- *    scalar walk in both regimes.
+ *    (poisoned) LUT row clears the flag and spans walk the table
+ *    element by element instead, preserving bit-exactness against the
+ *    legacy scalar walk in both regimes.
  *
  *  - a packed uint32 MICRO-OP-DELTA PLANE (deltas()): per pair, the
  *    four micro-op tallies of the scalar decomposition packed one per
  *    byte (lookups | shifts<<8 | adds<<16 | cycles<<24). The deltas
  *    are tiny (at most 4 of each per 8-bit multiply, enforced at
- *    build), so a blocked SIMD tally pass can accumulate thousands of
- *    entries before widening. A table memoizes exactly one lookup
+ *    build), so a blocked tally can accumulate hundreds of entries
+ *    before widening. A table memoizes exactly one lookup
  *    source, so the "lookups" byte is LUT-row reads for conv tables
  *    and hardwired-ROM reads for matmul tables — never both.
  *
@@ -48,7 +48,7 @@
  *    checks every memoized pair against its class key and reports
  *    histogramExact() only when the whole plane agrees, so a
  *    reference with value-dependent counts simply falls back to the
- *    delta-plane gather.
+ *    scalar walk over the delta plane.
  *
  * The planes are SEEDED BY the legacy scalar path (the caller passes a
  * reference functor that runs the real decomposition), so the scalar
@@ -310,7 +310,8 @@ class DatapathTable
     /**
      * True when every product equals a*b (the pristine-LUT steady
      * state), letting kernels compute products with a widening
-     * multiply instead of a gather. Verified exhaustively at build.
+     * multiply instead of a table read. Verified exhaustively at
+     * build.
      */
     bool productsExact() const { return productsExact_; }
 
@@ -320,7 +321,7 @@ class DatapathTable
      * histogram tally. Verified exhaustively at build against every
      * memoized pair; a reference whose counts are not a pure function
      * of the operand classes (or a doctored test table) simply clears
-     * the flag and the kernels gather from the delta plane instead.
+     * the flag and spans walk the delta plane instead.
      */
     bool histogramExact() const { return histogramExact_; }
 
@@ -421,7 +422,7 @@ class DatapathTable
      * pairDeltas() key and derive cyclesFactor(). A key that defeats
      * the formula (possible only for a reference with counts that are
      * class-consistent but not feature-bilinear, e.g. a doctored test
-     * table) clears histogramExact_ so the kernels keep gathering.
+     * table) clears histogramExact_ so spans keep walking the planes.
      */
     void
     verifySeparableFold(const std::array<bool, 256> &keySeen)

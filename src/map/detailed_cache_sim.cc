@@ -183,16 +183,19 @@ DetailedCacheSim::runGemm(
                     [g] { g->injectAllWavesNow(); });
             }
         } else {
+            // The chain reaches itself through a weak_ptr: a strong
+            // self-capture would be a reference cycle that leaks it.
+            // The scheduled callbacks hold the strong references.
             auto inject = std::make_shared<std::function<void(unsigned)>>();
-            *inject = [&, inject](unsigned s) {
+            *inject = [&, self = std::weak_ptr(inject)](unsigned s) {
                 if (s + 1 < active) {
                     const sim::Tick when =
                         qptr[s]->now() + slice_hop_ticks;
                     engine->post(s, s + 1, when,
-                                 [&, inject, s, when] {
+                                 [&, next = self.lock(), s, when] {
                                      qptr[s + 1]->scheduleCallback(
                                          when,
-                                         [inject, s] { (*inject)(s + 1); });
+                                         [next, s] { (*next)(s + 1); });
                                  });
                 }
                 grids[s]->injectAllWavesNow();
@@ -216,15 +219,16 @@ DetailedCacheSim::runGemm(
             // the stress case for the epoch-barrier engine.
             auto inject = std::make_shared<
                 std::function<void(unsigned, unsigned)>>();
-            *inject = [&, inject](unsigned s, unsigned w) {
+            *inject = [&, self = std::weak_ptr(inject)](unsigned s,
+                                                        unsigned w) {
                 if (s + 1 < active) {
                     const sim::Tick when =
                         qptr[s]->now() + slice_hop_ticks;
                     engine->post(s, s + 1, when,
-                                 [&, inject, s, w, when] {
+                                 [&, next = self.lock(), s, w, when] {
                                      qptr[s + 1]->scheduleCallback(
-                                         when, [inject, s, w] {
-                                             (*inject)(s + 1, w);
+                                         when, [next, s, w] {
+                                             (*next)(s + 1, w);
                                          });
                                  });
                 }

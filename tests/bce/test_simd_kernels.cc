@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <barrier>
 #include <cstdint>
 #include <string>
@@ -90,12 +94,9 @@ pattern(std::size_t n, int seed, int limit = 127)
 }
 
 /**
- * Run @p body once per (SIMD level, tally strategy) pair this binary
- * carries and this CPU can execute, with both dispatchers pinned;
- * always restores the environment-resolved choices afterwards. The
- * tally sweep is what proves the gather-free histogram kernels and
- * the gather fallback byte-identical on every ISA — eligibility is a
- * per-table decision, so both strategies must hold on the same data.
+ * Run @p body once per SIMD level this binary carries and this CPU can
+ * execute, with the dispatcher pinned; always restores the
+ * environment-resolved choice afterwards.
  */
 template <typename Body>
 void
@@ -108,14 +109,8 @@ for_each_runnable_level(Body &&body)
             || !sim::simd_level_supported(level))
             continue;
         sim::force_simd_level(level);
-        for (const bce::simd::TallyMode tally :
-             {bce::simd::TallyMode::Histogram,
-              bce::simd::TallyMode::Gather}) {
-            bce::simd::force_tally_mode(tally);
-            body(level);
-        }
+        body(level);
     }
-    bce::simd::reset_tally_mode();
     sim::reset_simd_level();
 }
 
@@ -212,25 +207,132 @@ TEST(SimdKernels, Matmul4BitInDomainExactAtEveryLevel)
     });
 }
 
+namespace {
+
+/** One span shape of the tail sweeps: precision, mode and the operand
+ *  magnitude bound its patterns use. */
+struct SpanCase
+{
+    unsigned bits;
+    BceMode mode;
+    int limit;
+};
+
+/** 4-bit conv operands run far outside [-8, 7] so the clamp acts in
+ *  every lane, the padded ones included; 4-bit matmul operands stay in
+ *  the strict domain [-8, +8]. */
+constexpr SpanCase span_cases[] = {
+    {8, BceMode::Conv, 127},
+    {8, BceMode::Matmul, 127},
+    {4, BceMode::Conv, 127},
+    {4, BceMode::Matmul, 8},
+};
+
+std::int32_t
+run_case(Engine &e, const SpanCase &c, const std::int8_t *a,
+         const std::int8_t *b, std::size_t len)
+{
+    e.bce.setMode(c.mode);
+    return c.mode == BceMode::Conv
+               ? e.bce.dotProductSpan(a, b, len, c.bits)
+               : e.bce.matmulDotSpan(a, b, len, c.bits);
+}
+
+std::string
+case_name(const SpanCase &c)
+{
+    return std::to_string(c.bits)
+           + (c.mode == BceMode::Conv ? "-bit conv" : "-bit matmul");
+}
+
+} // namespace
+
 TEST(SimdKernels, RaggedTailLengthsExactAtEveryLevel)
 {
-    // Span lengths straddling every vector width and remainder shape,
-    // so partial-vector tails can't hide a divergence.
-    for_each_runnable_level([](sim::SimdLevel level) {
-        const std::string ctx = sim::simd_level_name(level);
-        Engine legacy(ExecTier::Legacy);
-        Engine simd(ExecTier::Tiered);
-        for (std::size_t len = 0; len <= 40; ++len) {
-            const std::vector<std::int8_t> a =
-                pattern(len, static_cast<int>(len) + 1, 127);
-            const std::vector<std::int8_t> b =
-                pattern(len, static_cast<int>(len) + 50, 127);
-            ASSERT_EQ(
-                legacy.bce.dotProductSpan(a.data(), b.data(), len, 8),
-                simd.bce.dotProductSpan(a.data(), b.data(), len, 8))
-                << ctx << " len " << len;
+    // Every remainder shape of both vector widths (and several whole
+    // vectors before it), plus the LSTM gate row, at both precisions
+    // and in both modes: the zero-padded final step must add nothing.
+    std::vector<std::size_t> lens;
+    for (std::size_t len = 0; len <= 200; ++len)
+        lens.push_back(len);
+    lens.push_back(1063);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const SpanCase &c : span_cases) {
+            const std::string ctx =
+                std::string(sim::simd_level_name(level)) + " "
+                + case_name(c);
+            Engine legacy(ExecTier::Legacy);
+            Engine simd(ExecTier::Tiered);
+            for (const std::size_t len : lens) {
+                const std::vector<std::int8_t> a =
+                    pattern(len, static_cast<int>(len) + 1, c.limit);
+                const std::vector<std::int8_t> b =
+                    pattern(len, static_cast<int>(len) + 50, c.limit);
+                ASSERT_EQ(run_case(legacy, c, a.data(), b.data(), len),
+                          run_case(simd, c, a.data(), b.data(), len))
+                    << ctx << " len " << len;
+            }
+            expect_engines_identical(legacy, simd, ctx);
         }
-        expect_engines_identical(legacy, simd, ctx);
+    });
+}
+
+TEST(SimdKernels, SpanTailsNeverReadPastTheirEnd)
+{
+    // Each operand span ends on the last byte of a page whose successor
+    // is PROT_NONE: a tail load that strayed past len would fault.
+    const std::size_t page =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    struct Guarded
+    {
+        std::size_t bytes;
+        void *map;
+        bool guarded = false;
+
+        explicit Guarded(std::size_t page)
+            : bytes(2 * page),
+              map(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))
+        {
+            guarded = map != MAP_FAILED
+                      && mprotect(static_cast<char *>(map) + page, page,
+                                  PROT_NONE)
+                             == 0;
+        }
+        ~Guarded()
+        {
+            if (map != MAP_FAILED)
+                munmap(map, bytes);
+        }
+    };
+    Guarded ga(page), gb(page);
+    ASSERT_TRUE(ga.guarded);
+    ASSERT_TRUE(gb.guarded);
+    auto *const endA = static_cast<std::int8_t *>(ga.map) + page;
+    auto *const endB = static_cast<std::int8_t *>(gb.map) + page;
+
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const SpanCase &c : span_cases) {
+            const std::string ctx =
+                std::string(sim::simd_level_name(level)) + " "
+                + case_name(c);
+            Engine legacy(ExecTier::Legacy);
+            Engine simd(ExecTier::Tiered);
+            for (std::size_t len = 1; len <= 130; ++len) {
+                const std::vector<std::int8_t> a =
+                    pattern(len, static_cast<int>(len) + 3, c.limit);
+                const std::vector<std::int8_t> b =
+                    pattern(len, static_cast<int>(len) + 70, c.limit);
+                std::int8_t *const spanA = endA - len;
+                std::int8_t *const spanB = endB - len;
+                std::copy(a.begin(), a.end(), spanA);
+                std::copy(b.begin(), b.end(), spanB);
+                ASSERT_EQ(run_case(legacy, c, a.data(), b.data(), len),
+                          run_case(simd, c, spanA, spanB, len))
+                    << ctx << " len " << len;
+            }
+            expect_engines_identical(legacy, simd, ctx);
+        }
     });
 }
 
@@ -272,8 +374,8 @@ run_out_of_range_matmul(sim::SimdLevel level)
     Engine e(ExecTier::Tiered);
     e.bce.setMode(BceMode::Matmul);
     // 9 overflows the 4-bit magnitude limit; it sits mid-span so the
-    // kernel must detect it before any table gather could read out of
-    // bounds.
+    // kernel must detect it before the fold or a table read could use
+    // it.
     const std::int8_t a[12] = {1, 2, 3, 4, 5, 6, 9, 1, 2, 3, 4, 5};
     const std::int8_t b[12] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
     (void)e.bce.matmulDotSpan(a, b, 12, 4);
@@ -302,8 +404,9 @@ TEST(SimdKernelsDeath, Matmul4BitOutOfRangePanicsAtEveryLevel)
 TEST(SimdKernels, PoisonedLutExactAtEveryLevel)
 {
     // scratchWrite rewrites a LUT row byte, so the reseeded table's
-    // product plane no longer equals a*b (productsExact drops) and the
-    // kernels must gather poisoned products instead of multiplying.
+    // product plane no longer equals a*b (productsExact drops) and
+    // every level must read poisoned products from the table instead
+    // of multiplying.
     for_each_runnable_level([](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
         Engine legacy(ExecTier::Legacy);
@@ -482,6 +585,39 @@ TEST(SimdKernels, RunSpanReportsFirstOutOfRangeIndex)
     EXPECT_EQ(6, in.acc); // 1 + 2 + 3
 }
 
+TEST(SimdKernels, StrictSpanReportsFirstOffenderAtEveryLevel)
+{
+    // One out-of-domain operand (+/-9, or an int8 extreme), in a or in
+    // b, at every index of spans that straddle both vector widths: the
+    // fold must stand down on the block holding it and the scalar walk
+    // must name exactly that index, whether it sits in a whole vector
+    // or in the ragged tail.
+    const lut::DatapathTable &t = lut::rom_datapath_table(4);
+    constexpr std::int8_t offenders[] = {9, -9, 127, -128};
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const std::size_t len :
+             {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1063}) {
+            const std::vector<std::int8_t> base =
+                pattern(len, static_cast<int>(len), 8);
+            for (std::size_t at = 0; at < len; ++at) {
+                for (const bool inA : {true, false}) {
+                    std::vector<std::int8_t> a = base, b = base;
+                    (inA ? a : b)[at] = offenders[at % 4];
+                    const bce::simd::SpanSums s = bce::simd::run_span(
+                        t, a.data(), b.data(), len,
+                        bce::simd::SpanSemantics::MatmulStrict);
+                    ASSERT_FALSE(s.inRange)
+                        << sim::simd_level_name(level) << " len " << len
+                        << " at " << at;
+                    ASSERT_EQ(at, s.firstOutOfRange)
+                        << sim::simd_level_name(level) << " len " << len
+                        << (inA ? " in a" : " in b");
+                }
+            }
+        }
+    });
+}
+
 TEST(SimdKernels, ZeroLengthSpanIsANoOp)
 {
     for_each_runnable_level([](sim::SimdLevel level) {
@@ -495,76 +631,42 @@ TEST(SimdKernels, ZeroLengthSpanIsANoOp)
 }
 
 // ---------------------------------------------------------------------
-// Tally-strategy knob
+// Fold against the scalar table walk, head to head
 // ---------------------------------------------------------------------
 
-TEST(SimdKernels, HistogramAndGatherEnginesByteIdentical)
+TEST(SimdKernels, HistogramFoldAndScalarEnginesByteIdentical)
 {
     // Head-to-head rather than each-vs-legacy: two tiered engines, one
-    // pinned to the histogram fold and one to the delta-plane gather,
-    // fed the same spans. Sums, stats and energy must be identical.
+    // served by the histogram fold at each vector level and one pinned
+    // to the scalar table walk, fed the same spans at both precisions.
+    // Sums, stats and energy must be identical.
     for (const sim::SimdLevel level :
          {sim::SimdLevel::Avx2, sim::SimdLevel::Avx512}) {
         if (!sim::simd_level_compiled(level)
             || !sim::simd_level_supported(level))
             continue;
-        sim::force_simd_level(level);
         const std::string ctx = sim::simd_level_name(level);
-        Engine hist(ExecTier::Tiered);
-        Engine gather(ExecTier::Tiered);
-        for (std::size_t len : {std::size_t{7}, std::size_t{256},
-                                std::size_t{9001}}) {
-            const std::vector<std::int8_t> a =
-                pattern(len, static_cast<int>(len), 127);
-            const std::vector<std::int8_t> b =
-                pattern(len, static_cast<int>(len) + 9, 127);
-            bce::simd::force_tally_mode(bce::simd::TallyMode::Histogram);
-            const std::int32_t rh =
-                hist.bce.dotProductSpan(a.data(), b.data(), len, 8);
-            bce::simd::force_tally_mode(bce::simd::TallyMode::Gather);
-            const std::int32_t rg =
-                gather.bce.dotProductSpan(a.data(), b.data(), len, 8);
-            ASSERT_EQ(rh, rg) << ctx << " len " << len;
+        Engine fold(ExecTier::Tiered);
+        Engine scalar(ExecTier::Tiered);
+        for (const SpanCase &c : span_cases) {
+            for (std::size_t len : {std::size_t{7}, std::size_t{256},
+                                    std::size_t{1063},
+                                    std::size_t{9001}}) {
+                const std::vector<std::int8_t> a =
+                    pattern(len, static_cast<int>(len), c.limit);
+                const std::vector<std::int8_t> b =
+                    pattern(len, static_cast<int>(len) + 9, c.limit);
+                sim::force_simd_level(level);
+                const std::int32_t rf =
+                    run_case(fold, c, a.data(), b.data(), len);
+                sim::force_simd_level(sim::SimdLevel::Scalar);
+                const std::int32_t rs =
+                    run_case(scalar, c, a.data(), b.data(), len);
+                ASSERT_EQ(rf, rs)
+                    << ctx << " " << case_name(c) << " len " << len;
+            }
         }
-        expect_engines_identical(hist, gather, ctx);
+        expect_engines_identical(fold, scalar, ctx);
     }
-    bce::simd::reset_tally_mode();
     sim::reset_simd_level();
-}
-
-TEST(SimdKernels, TallyEnvironmentKnobResolves)
-{
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "gather", 1));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Gather,
-              bce::simd::active_tally_mode());
-
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "histogram", 1));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Histogram,
-              bce::simd::active_tally_mode());
-
-    // Unset means the gather-free default.
-    ASSERT_EQ(0, unsetenv("BFREE_TIERED_TALLY"));
-    bce::simd::reset_tally_mode();
-    EXPECT_EQ(bce::simd::TallyMode::Histogram,
-              bce::simd::active_tally_mode());
-
-    EXPECT_STREQ("histogram", bce::simd::tally_mode_name(
-                                  bce::simd::TallyMode::Histogram));
-    EXPECT_STREQ("gather", bce::simd::tally_mode_name(
-                               bce::simd::TallyMode::Gather));
-}
-
-TEST(SimdKernelsDeath, UnknownTallyKnobIsFatal)
-{
-    ASSERT_EQ(0, setenv("BFREE_TIERED_TALLY", "turbo", 1));
-    EXPECT_DEATH(
-        {
-            bce::simd::reset_tally_mode();
-            (void)bce::simd::active_tally_mode();
-        },
-        "not a known tally");
-    ASSERT_EQ(0, unsetenv("BFREE_TIERED_TALLY"));
-    bce::simd::reset_tally_mode();
 }
