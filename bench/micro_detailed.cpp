@@ -1,30 +1,39 @@
 /**
  * @file
  * Full-cache detailed-timing engine throughput: wall-clock of the
- * sharded epoch-barrier engine against the single-queue baseline on one
- * whole-cache GEMM (all 14 slices), with inline bit-exactness checks.
+ * sharded epoch-barrier engine at one worker and at --threads workers,
+ * with inline bit-exactness checks, on two whole-cache GEMMs:
  *
- * Four engine configurations run the same workload:
+ *   stream  k = 16, 42 filters (3 columns on each of the 14 slices),
+ *           896 waves: long wave trains over short dot products — the
+ *           baseline-gated workload
+ *   heavy   k = 256, 448 filters (32 columns per slice), 64 waves:
+ *           compute-heavy epochs in which several slices compute at
+ *           once, where --threads shows the sharded win (reported
+ *           only, no gate)
  *
- *   single_queue        one event queue, per-flit routing (the
- *                       original literal model, the speedup baseline)
- *   single_queue_burst  one event queue, wave-train bursts
- *   sharded_1t          per-slice queues on the epoch engine, 1 worker
- *   sharded_nt          per-slice queues, --threads workers
+ * Each GEMM runs under two configurations:
  *
- * Every configuration must produce the same int32 accumulators as a
- * plain integer GEMM and a cycle count equal to detailed_cache_formula
- * (exit 2 on divergence). Output: a BenchJson document (--out FILE,
- * default BENCH_pr4.json) with seconds, events/s, waves/s and
- * speedup_vs_single_queue per configuration. With --check-baseline
- * FILE the run exits 1 when sharded_nt waves/s collapsed more than 5x
- * below the committed baseline (the non-gating CI perf-smoke job).
+ *   sharded_1t  per-slice queues on the epoch engine, 1 worker (the
+ *               serial path and the speedup baseline)
+ *   sharded_nt  per-slice queues, --threads workers
+ *
+ * Every run must produce the same int32 accumulators as a plain
+ * integer GEMM and a cycle count equal to detailed_cache_formula (exit
+ * 2 on divergence). Output: a BenchJson document (--out FILE, default
+ * BENCH_pr4.json) with seconds, events/s, waves/s and speedup_vs_1t
+ * per configuration; the heavy GEMM's sections carry a "heavy_"
+ * prefix. With --check-baseline FILE the run exits 1 when the stream
+ * GEMM's sharded_nt waves/s collapsed more than 5x below the committed
+ * baseline (the non-gating CI perf-smoke job).
  *
  * --dump-stats FILE skips the timed passes and writes one line of
  * deterministic statistics (checksum, cycles, events, epochs, messages,
- * energy with full double precision) per configuration. The CI
- * determinism job runs it at --threads 1 and --threads 8 and byte-diffs
- * the two files.
+ * energy with full double precision) per configuration of both GEMMs.
+ * The CI determinism job runs it at --threads 1 and --threads 8 and
+ * byte-diffs the two files.
+ *
+ * An unknown flag, or a flag without its value, exits 1.
  */
 
 #include <chrono>
@@ -33,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,11 +55,9 @@
 namespace {
 
 using namespace bfree;
-using map::CacheEngine;
 using map::DetailedCacheOptions;
 using map::DetailedCacheResult;
 using map::DetailedCacheSim;
-using map::GridEngine;
 
 /** Deterministic small int8 values. */
 std::vector<std::vector<std::int8_t>>
@@ -65,25 +73,33 @@ make_matrix(unsigned rows, unsigned cols, int seed)
     return m;
 }
 
-/** Position-sensitive checksum over the accumulator matrix. */
+/** Position-sensitive checksum over the accumulator matrix; the sum
+ *  wraps modulo 2^64 instead of overflowing. */
 std::int64_t
 checksum(const std::vector<std::vector<std::int32_t>> &accs)
 {
-    std::int64_t sum = 0;
+    std::uint64_t sum = 0;
     for (std::size_t f = 0; f < accs.size(); ++f)
         for (std::size_t w = 0; w < accs[f].size(); ++w)
-            sum += std::int64_t(accs[f][w]) *
-                   std::int64_t(f * 1315423911u + w * 2654435761u + 1);
-    return sum;
+            sum += static_cast<std::uint64_t>(std::int64_t(accs[f][w]))
+                   * (f * 1315423911u + w * 2654435761u + 1);
+    return static_cast<std::int64_t>(sum);
 }
+
+/** One whole-cache GEMM workload. */
+struct Gemm
+{
+    const char *prefix; ///< BenchJson section / dump-line prefix.
+    unsigned k;
+    unsigned filters;
+    unsigned waves;
+};
 
 /** One engine configuration under test. */
 struct Config
 {
     const char *name;
-    CacheEngine engine;
-    GridEngine grid;
-    unsigned threads; // sharded only
+    unsigned threads;
 };
 
 struct Row
@@ -92,51 +108,34 @@ struct Row
     double seconds = 0.0;
 };
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Every configuration's run of one GEMM. */
+struct GemmRun
 {
-    const unsigned threads = sim::threads_from_args(argc, argv);
-    std::string out_path = "BENCH_pr4.json";
-    std::string baseline_path;
-    std::string dump_path;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out"))
-            out_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-baseline"))
-            baseline_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--dump-stats"))
-            dump_path = argv[i + 1];
-    }
+    std::vector<Row> rows; ///< One per Config.
+    std::uint64_t cycles = 0; ///< The closed-form drain time.
+};
 
-    // One whole-cache GEMM: 42 filters = 3 columns on each of the 14
-    // slices, 16-element dot products on the default 8-row grids, 896
-    // input waves. Per-flit routing schedules ~10^5 events while the
-    // burst engine needs ~10^3 for the same simulated traffic.
-    const unsigned k = 16, filters = 42, waves = 896;
-    const std::size_t reps = dump_path.empty() ? 3 : 1;
+/**
+ * Runs @p gemm @p reps times under each configuration. Returns nullopt
+ * after a diagnostic when a run diverges from the integer reference or
+ * from detailed_cache_formula.
+ */
+std::optional<GemmRun>
+run_gemm(const Gemm &gemm, const std::vector<Config> &configs,
+         std::size_t reps)
+{
+    const unsigned k = gemm.k, filters = gemm.filters, waves = gemm.waves;
     tech::CacheGeometry geom;
     tech::TechParams tech;
     const auto fbank = make_matrix(filters, k, 41);
     const auto inputs = make_matrix(waves, k, 5);
 
-    const std::vector<Config> configs = {
-        {"single_queue", CacheEngine::SingleQueue, GridEngine::PerFlit, 0},
-        {"single_queue_burst", CacheEngine::SingleQueue, GridEngine::Burst,
-         0},
-        {"sharded_1t", CacheEngine::Sharded, GridEngine::Burst, 1},
-        {"sharded_nt", CacheEngine::Sharded, GridEngine::Burst, threads},
-    };
-
-    // The ground truth every engine must reproduce.
-    DetailedCacheSim probe(geom, tech,
-                           {0, 8, CacheEngine::SingleQueue,
-                            GridEngine::Burst, 0});
-    const unsigned rows = probe.rowsFor(k);
+    // The ground truth every configuration must reproduce.
+    const unsigned rows = DetailedCacheSim(geom, tech).rowsFor(k);
     const std::uint64_t cps =
         std::uint64_t((k + rows - 1) / rows) * (8 / 4);
-    const std::uint64_t formula = map::detailed_cache_formula(
+    GemmRun run;
+    run.cycles = map::detailed_cache_formula(
         rows, map::partition_filters(filters, geom.numSlices), waves, cps,
         tech.routerHopCycles, tech.interSliceHopCycles);
     const std::int64_t expected = [&] {
@@ -154,34 +153,83 @@ main(int argc, char **argv)
         return checksum(ref);
     }();
 
-    std::vector<Row> rows_out(configs.size());
+    run.rows.resize(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const Config &c = configs[i];
+        const std::string name =
+            std::string(gemm.prefix) + configs[i].name;
         DetailedCacheOptions opts;
-        opts.engine = c.engine;
-        opts.grid = c.grid;
-        opts.threads = c.threads;
+        opts.threads = configs[i].threads;
 
         const auto start = std::chrono::steady_clock::now();
         for (std::size_t r = 0; r < reps; ++r) {
             DetailedCacheSim sim(geom, tech, opts);
-            rows_out[i].result = sim.runGemm(fbank, inputs);
+            run.rows[i].result = sim.runGemm(fbank, inputs);
         }
         const auto stop = std::chrono::steady_clock::now();
-        rows_out[i].seconds =
+        run.rows[i].seconds =
             std::chrono::duration<double>(stop - start).count();
 
-        const auto &res = rows_out[i].result;
+        const auto &res = run.rows[i].result;
         if (checksum(res.accs) != expected) {
-            std::cerr << c.name << ": accumulators diverged from the "
+            std::cerr << name << ": accumulators diverged from the "
                       << "integer reference\n";
-            return 2;
+            return std::nullopt;
         }
-        if (res.cycles != formula) {
-            std::cerr << c.name << ": " << res.cycles
-                      << " cycles != formula " << formula << "\n";
-            return 2;
+        if (res.cycles != run.cycles) {
+            std::cerr << name << ": " << res.cycles
+                      << " cycles != formula " << run.cycles << "\n";
+            return std::nullopt;
         }
+    }
+    return run;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const unsigned threads = sim::threads_from_args(argc, argv);
+    std::string out_path = "BENCH_pr4.json";
+    std::string baseline_path;
+    std::string dump_path;
+    for (int i = 1; i < argc; ++i) {
+        std::string *value = nullptr;
+        if (!std::strcmp(argv[i], "--out"))
+            value = &out_path;
+        else if (!std::strcmp(argv[i], "--check-baseline"))
+            value = &baseline_path;
+        else if (!std::strcmp(argv[i], "--dump-stats"))
+            value = &dump_path;
+        else if (std::strcmp(argv[i], "--threads")) {
+            std::cerr << "unknown option '" << argv[i] << "'\n";
+            return 1;
+        }
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+            std::cerr << argv[i] << " needs a value\n";
+            return 1;
+        }
+        ++i;
+        if (value)
+            *value = argv[i];
+    }
+
+    const std::vector<Gemm> gemms = {
+        {"", 16, 42, 896},
+        {"heavy_", 256, 448, 64},
+    };
+    const std::vector<Config> configs = {
+        {"sharded_1t", 1},
+        {"sharded_nt", threads},
+    };
+    const std::size_t reps = dump_path.empty() ? 3 : 1;
+
+    std::vector<GemmRun> runs;
+    for (const Gemm &gemm : gemms) {
+        auto run = run_gemm(gemm, configs, reps);
+        if (!run)
+            return 2;
+        runs.push_back(std::move(*run));
     }
 
     if (!dump_path.empty()) {
@@ -192,61 +240,71 @@ main(int argc, char **argv)
             std::cerr << "cannot write " << dump_path << "\n";
             return 1;
         }
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-            const auto &res = rows_out[i].result;
-            char line[256];
-            std::snprintf(line, sizeof(line),
-                          "%s checksum=%lld cycles=%llu events=%llu "
-                          "epochs=%llu messages=%llu energy=%.17g\n",
-                          configs[i].name,
-                          static_cast<long long>(checksum(res.accs)),
-                          static_cast<unsigned long long>(res.cycles),
-                          static_cast<unsigned long long>(res.events),
-                          static_cast<unsigned long long>(res.epochs),
-                          static_cast<unsigned long long>(
-                              res.crossMessages),
-                          res.energy.total());
-            out << line;
+        for (std::size_t g = 0; g < gemms.size(); ++g) {
+            for (std::size_t i = 0; i < configs.size(); ++i) {
+                const auto &res = runs[g].rows[i].result;
+                char line[256];
+                std::snprintf(
+                    line, sizeof(line),
+                    "%s%s checksum=%lld cycles=%llu events=%llu "
+                    "epochs=%llu messages=%llu energy=%.17g\n",
+                    gemms[g].prefix, configs[i].name,
+                    static_cast<long long>(checksum(res.accs)),
+                    static_cast<unsigned long long>(res.cycles),
+                    static_cast<unsigned long long>(res.events),
+                    static_cast<unsigned long long>(res.epochs),
+                    static_cast<unsigned long long>(res.crossMessages),
+                    res.energy.total());
+                out << line;
+            }
         }
         std::cout << "wrote " << dump_path << "\n";
         return 0;
     }
 
-    const double base_seconds = rows_out[0].seconds;
-    std::cout << "micro_detailed: full-cache GEMM, " << filters
-              << " filters x " << waves << " waves, k=" << k << ", "
-              << reps << " reps\n";
-
     sim::BenchJson json;
     json.set("host", "hardware_threads",
              static_cast<double>(sim::resolve_threads(0)));
-    json.set("workload", "filters", filters);
-    json.set("workload", "k", k);
-    json.set("workload", "waves", waves);
-    json.set("workload", "reps", double(reps));
-    json.set("workload", "cycles", double(formula));
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const Row &row = rows_out[i];
-        const double events_s =
-            row.seconds > 0.0
-                ? double(row.result.events) * reps / row.seconds
-                : 0.0;
-        const double waves_s =
-            row.seconds > 0.0 ? double(waves) * reps / row.seconds : 0.0;
-        const double speedup =
-            row.seconds > 0.0 ? base_seconds / row.seconds : 0.0;
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%-20s %8.4f s  %12.0f events/s  %8.1f waves/s  "
-                      "speedup %6.2fx\n",
-                      configs[i].name, row.seconds, events_s, waves_s,
-                      speedup);
-        std::cout << line;
-        json.set(configs[i].name, "seconds", row.seconds);
-        json.set(configs[i].name, "events", double(row.result.events));
-        json.set(configs[i].name, "events_per_s", events_s);
-        json.set(configs[i].name, "waves_per_s", waves_s);
-        json.set(configs[i].name, "speedup_vs_single_queue", speedup);
+    for (std::size_t g = 0; g < gemms.size(); ++g) {
+        const Gemm &gemm = gemms[g];
+        const GemmRun &run = runs[g];
+        std::cout << "micro_detailed: full-cache GEMM, " << gemm.filters
+                  << " filters x " << gemm.waves << " waves, k=" << gemm.k
+                  << ", " << reps << " reps\n";
+        const std::string workload = std::string(gemm.prefix) + "workload";
+        json.set(workload, "filters", gemm.filters);
+        json.set(workload, "k", gemm.k);
+        json.set(workload, "waves", gemm.waves);
+        json.set(workload, "reps", double(reps));
+        json.set(workload, "cycles", double(run.cycles));
+
+        const double base_seconds = run.rows[0].seconds;
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const Row &row = run.rows[i];
+            const std::string name =
+                std::string(gemm.prefix) + configs[i].name;
+            const double events_s =
+                row.seconds > 0.0
+                    ? double(row.result.events) * reps / row.seconds
+                    : 0.0;
+            const double waves_s =
+                row.seconds > 0.0 ? double(gemm.waves) * reps / row.seconds
+                                  : 0.0;
+            const double speedup =
+                row.seconds > 0.0 ? base_seconds / row.seconds : 0.0;
+            char line[160];
+            std::snprintf(line, sizeof(line),
+                          "%-20s %8.4f s  %12.0f events/s  %8.1f waves/s  "
+                          "speedup %6.2fx\n",
+                          name.c_str(), row.seconds, events_s, waves_s,
+                          speedup);
+            std::cout << line;
+            json.set(name, "seconds", row.seconds);
+            json.set(name, "events", double(row.result.events));
+            json.set(name, "events_per_s", events_s);
+            json.set(name, "waves_per_s", waves_s);
+            json.set(name, "speedup_vs_1t", speedup);
+        }
     }
     if (!json.save(out_path)) {
         std::cerr << "cannot write " << out_path << "\n";

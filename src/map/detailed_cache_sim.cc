@@ -109,7 +109,6 @@ DetailedCacheSim::runGemm(
     while (active < counts.size() && counts[active] > 0)
         ++active;
 
-    const bool sharded = opts.engine == CacheEngine::Sharded;
     const sim::ClockDomain clock(tech.subarrayClockHz);
     const sim::Tick slice_hop_ticks =
         clock.cyclesToTicks(sim::Cycles(tech.interSliceHopCycles));
@@ -117,28 +116,24 @@ DetailedCacheSim::runGemm(
         static_cast<std::uint64_t>(slice_len) * (opts.bits / 4);
     const sim::Tick cps_ticks = clock.cyclesToTicks(sim::Cycles(cps));
 
-    // One queue per slice (sharded) or one shared queue; one energy
-    // account per slice in BOTH engines, merged in slice order, so the
-    // engines' float accumulation is structurally identical.
+    // One queue and one energy account per slice; the accounts merge in
+    // slice order, so the float accumulation is the same for any
+    // worker count.
     std::vector<std::unique_ptr<sim::EventQueue>> queues;
     std::vector<std::unique_ptr<mem::EnergyAccount>> accounts;
     std::vector<std::unique_ptr<DetailedSliceSim>> grids;
-    queues.reserve(sharded ? active : 1);
+    std::vector<sim::EventQueue *> qptr;
+    queues.reserve(active);
     accounts.reserve(active);
     grids.reserve(active);
-
-    if (!sharded)
-        queues.push_back(std::make_unique<sim::EventQueue>());
-
-    std::vector<sim::EventQueue *> qptr(active);
+    qptr.reserve(active);
     for (unsigned s = 0; s < active; ++s) {
-        if (sharded)
-            queues.push_back(std::make_unique<sim::EventQueue>());
-        qptr[s] = sharded ? queues[s].get() : queues[0].get();
+        queues.push_back(std::make_unique<sim::EventQueue>());
+        qptr.push_back(queues[s].get());
         accounts.push_back(std::make_unique<mem::EnergyAccount>());
         grids.push_back(std::make_unique<DetailedSliceSim>(
-            geom, tech, rows, counts[s], slice_len, opts.bits, opts.grid,
-            qptr[s], accounts[s].get()));
+            geom, tech, rows, counts[s], slice_len, opts.bits, qptr[s],
+            accounts[s].get()));
     }
 
     // Weight layout per slice: contiguous filter block, each filter's
@@ -162,90 +157,31 @@ DetailedCacheSim::runGemm(
         }
     }
 
-    std::unique_ptr<sim::ShardedEngine> engine;
-    if (sharded) {
-        std::vector<sim::EventQueue *> raw(qptr.begin(), qptr.end());
-        engine = std::make_unique<sim::ShardedEngine>(
-            std::move(raw), slice_hop_ticks, opts.threads);
-    }
+    sim::ShardedEngine engine(qptr, slice_hop_ticks, opts.threads);
 
     // Injection: slice s's wave train starts slice_hop ticks after
-    // slice s-1's (the inter-slice input stream). SingleQueue schedules
-    // every slice's injection at its absolute offset up front; Sharded
-    // chains them through cross-shard messages at exactly the lookahead
-    // (so the hand-off crosses at an epoch barrier).
-    if (waves > 0 && opts.grid == GridEngine::Burst) {
-        if (!sharded) {
-            for (unsigned s = 0; s < active; ++s) {
-                DetailedSliceSim *g = grids[s].get();
-                qptr[0]->scheduleCallback(
-                    std::uint64_t(s) * slice_hop_ticks + cps_ticks,
-                    [g] { g->injectAllWavesNow(); });
+    // slice s-1's (the inter-slice input stream). The hand-offs chain
+    // through cross-shard messages at exactly the lookahead, so each
+    // one crosses at an epoch barrier.
+    if (waves > 0) {
+        // The chain reaches itself through a weak_ptr: a strong
+        // self-capture would be a reference cycle that leaks it.
+        // The scheduled callbacks hold the strong references.
+        auto inject = std::make_shared<std::function<void(unsigned)>>();
+        *inject = [&, self = std::weak_ptr(inject)](unsigned s) {
+            if (s + 1 < active) {
+                const sim::Tick when = qptr[s]->now() + slice_hop_ticks;
+                engine.post(s, s + 1, when,
+                            [&, next = self.lock(), s, when] {
+                                qptr[s + 1]->scheduleCallback(
+                                    when, [next, s] { (*next)(s + 1); });
+                            });
             }
-        } else {
-            // The chain reaches itself through a weak_ptr: a strong
-            // self-capture would be a reference cycle that leaks it.
-            // The scheduled callbacks hold the strong references.
-            auto inject = std::make_shared<std::function<void(unsigned)>>();
-            *inject = [&, self = std::weak_ptr(inject)](unsigned s) {
-                if (s + 1 < active) {
-                    const sim::Tick when =
-                        qptr[s]->now() + slice_hop_ticks;
-                    engine->post(s, s + 1, when,
-                                 [&, next = self.lock(), s, when] {
-                                     qptr[s + 1]->scheduleCallback(
-                                         when,
-                                         [next, s] { (*next)(s + 1); });
-                                 });
-                }
-                grids[s]->injectAllWavesNow();
-            };
-            qptr[0]->scheduleCallback(cps_ticks,
-                                      [inject] { (*inject)(0); });
-        }
-    } else if (waves > 0) { // GridEngine::PerFlit
-        if (!sharded) {
-            for (unsigned s = 0; s < active; ++s) {
-                DetailedSliceSim *g = grids[s].get();
-                for (unsigned w = 0; w < waves; ++w) {
-                    qptr[0]->scheduleCallback(
-                        std::uint64_t(s) * slice_hop_ticks
-                            + std::uint64_t(w + 1) * cps_ticks,
-                        [g, w] { g->injectWaveNow(w); });
-                }
-            }
-        } else {
-            // One cross-shard message per wave per slice boundary —
-            // the stress case for the epoch-barrier engine.
-            auto inject = std::make_shared<
-                std::function<void(unsigned, unsigned)>>();
-            *inject = [&, self = std::weak_ptr(inject)](unsigned s,
-                                                        unsigned w) {
-                if (s + 1 < active) {
-                    const sim::Tick when =
-                        qptr[s]->now() + slice_hop_ticks;
-                    engine->post(s, s + 1, when,
-                                 [&, next = self.lock(), s, w, when] {
-                                     qptr[s + 1]->scheduleCallback(
-                                         when, [next, s, w] {
-                                             (*next)(s + 1, w);
-                                         });
-                                 });
-                }
-                grids[s]->injectWaveNow(w);
-            };
-            for (unsigned w = 0; w < waves; ++w) {
-                qptr[0]->scheduleCallback(
-                    std::uint64_t(w + 1) * cps_ticks,
-                    [inject, w] { (*inject)(0, w); });
-            }
-        }
+            grids[s]->injectAllWavesNow();
+        };
+        qptr[0]->scheduleCallback(cps_ticks, [inject] { (*inject)(0); });
     }
-
-    if (sharded)
-        engine->run();
-    else
-        qptr[0]->run();
+    engine.run();
 
     DetailedCacheResult result;
     result.waves = waves;
@@ -266,13 +202,9 @@ DetailedCacheSim::runGemm(
     }
     for (unsigned s = 0; s < active; ++s)
         result.energy += *accounts[s];
-    if (sharded) {
-        result.events = engine->processed();
-        result.epochs = engine->epochs();
-        result.crossMessages = engine->messages();
-    } else {
-        result.events = qptr[0]->processed();
-    }
+    result.events = engine.processed();
+    result.epochs = engine.epochs();
+    result.crossMessages = engine.messages();
     return result;
 }
 

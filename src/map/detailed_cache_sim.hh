@@ -13,20 +13,15 @@
  *     max over active s of
  *         s * slice_hop + waves * cps + (cols_s - 1 + rows - 1) * hop
  *
- * (detailed_cache_formula). Two execution engines produce bit-identical
- * results:
+ * (detailed_cache_formula).
  *
- *  - CacheEngine::SingleQueue runs every slice grid on one shared
- *    event queue (the baseline the sharded engine is measured against);
- *
- *  - CacheEngine::Sharded gives each slice its own EventQueue and runs
- *    them on a sim::ShardedEngine with the inter-slice hop as the
- *    lookahead. Input-streaming hand-offs are the only cross-shard
- *    traffic and cross exactly at epoch barriers, so outputs, cycle
- *    counts, event counts and energy are identical for any --threads.
- *
- * Energy is accumulated per slice and merged in slice order in both
- * engines, so the two are bitwise comparable there too.
+ * Each slice has its own EventQueue, and the queues run on a
+ * sim::ShardedEngine with the inter-slice hop as the lookahead; at
+ * threads = 1 that is the serial path. Input-streaming hand-offs are
+ * the only cross-shard traffic and cross exactly at epoch barriers, and
+ * energy is accumulated per slice and merged in slice order, so
+ * outputs, cycle counts, event counts and energy are identical for any
+ * --threads.
  */
 
 #ifndef BFREE_MAP_DETAILED_CACHE_SIM_HH
@@ -45,13 +40,6 @@
 
 namespace bfree::map {
 
-/** Execution engine for the full-cache detailed model. */
-enum class CacheEngine
-{
-    SingleQueue, ///< All slices on one event queue (serial baseline).
-    Sharded,     ///< One queue per slice on the epoch-barrier engine.
-};
-
 /** Knobs for a full-cache detailed run. */
 struct DetailedCacheOptions
 {
@@ -59,8 +47,6 @@ struct DetailedCacheOptions
      *  (clamped to the dot-product length). */
     unsigned rows = 0;
     unsigned bits = 8;
-    CacheEngine engine = CacheEngine::Sharded;
-    GridEngine grid = GridEngine::Burst;
     /** Worker threads for the sharded engine; 0 = hardware. */
     unsigned threads = 0;
 };
@@ -79,7 +65,7 @@ struct DetailedCacheResult
     std::vector<std::uint64_t> sliceCycles;
     /** Events dispatched across all queues. */
     std::uint64_t events = 0;
-    /** Sharded engine only: epochs and cross-shard messages. */
+    /** Epoch barriers crossed and cross-shard messages delivered. */
     std::uint64_t epochs = 0;
     std::uint64_t crossMessages = 0;
     /** Per-slice energy merged in slice order. */

@@ -45,8 +45,8 @@ detailed_grid_formula(unsigned rows, unsigned cols, unsigned waves,
 /** One grid node: sub-array + BCE computing its channel slice. */
 struct DetailedSliceSim::Node
 {
-    Node(DetailedSliceSim &parent, unsigned col, unsigned row)
-        : parent(parent), col(col), row(row),
+    Node(DetailedSliceSim &parent, unsigned row)
+        : parent(parent), row(row),
           subarray(parent.geom, parent.tech, *parent.account),
           bce(subarray, parent.tech, *parent.account)
     {
@@ -65,18 +65,7 @@ struct DetailedSliceSim::Node
                               parent.bits);
     }
 
-    void
-    onPartial(const noc::Flit &flit)
-    {
-        const auto wave = flit.tag;
-        const auto incoming = static_cast<std::int32_t>(flit.payload);
-        const std::int32_t sum =
-            bce.accumulateIncoming(localProduct(wave), incoming);
-        parent.forward(col, row, wave, sum);
-    }
-
     DetailedSliceSim &parent;
-    unsigned col;
     unsigned row;
     mem::Subarray subarray;
     bce::Bce bce;
@@ -86,11 +75,10 @@ DetailedSliceSim::DetailedSliceSim(const tech::CacheGeometry &geom,
                                    const tech::TechParams &tech,
                                    unsigned rows, unsigned cols,
                                    unsigned slice_len, unsigned bits,
-                                   GridEngine engine,
                                    sim::EventQueue *ext_queue,
                                    mem::EnergyAccount *ext_account)
     : geom(geom), tech(tech), numRows(rows), numCols(cols),
-      sliceLen(slice_len), bits(bits), gridEngine(engine),
+      sliceLen(slice_len), bits(bits),
       owned_queue(ext_queue ? nullptr : new sim::EventQueue),
       owned_account(ext_account ? nullptr : new mem::EnergyAccount),
       queue(ext_queue ? ext_queue : owned_queue.get()),
@@ -109,14 +97,11 @@ DetailedSliceSim::DetailedSliceSim(const tech::CacheGeometry &geom,
     vertical.resize(cols);
     for (unsigned c = 0; c < cols; ++c) {
         for (unsigned r = 0; r < rows; ++r)
-            grid[c].push_back(std::make_unique<Node>(*this, c, r));
+            grid[c].push_back(std::make_unique<Node>(*this, r));
         for (unsigned r = 0; r + 1 < rows; ++r) {
             vertical[c].push_back(std::make_unique<noc::Router>(
                 *queue, vertical_router_name(c, r), clock, tech,
                 *account));
-            Node *next = grid[c][r + 1].get();
-            vertical[c].back()->connect(
-                [next](const noc::Flit &flit) { next->onPartial(flit); });
             const unsigned next_row = r + 1;
             vertical[c].back()->connectBurst(
                 [this, c, next_row](const noc::Flit *flits, std::size_t n,
@@ -130,9 +115,6 @@ DetailedSliceSim::DetailedSliceSim(const tech::CacheGeometry &geom,
         horizontal.push_back(std::make_unique<noc::Router>(
             *queue, horizontal_router_name(c), clock, tech, *account));
         const unsigned next_col = c + 1;
-        horizontal[c]->connect([this, next_col](const noc::Flit &flit) {
-            triggerColumn(next_col, flit.tag);
-        });
         horizontal[c]->connectBurst(
             [this, next_col](const noc::Flit *, std::size_t,
                              sim::Tick first, sim::Tick) {
@@ -185,39 +167,10 @@ DetailedSliceSim::hopTicks() const
 }
 
 void
-DetailedSliceSim::triggerColumn(unsigned col, unsigned wave)
-{
-    // Propagate the wave to the next column first (the streaming link
-    // runs concurrently with this column's compute).
-    if (col + 1 < numCols)
-        horizontal[col]->send(noc::Flit{0, wave});
-
-    const std::int32_t local = grid[col][0]->localProduct(wave);
-    forward(col, 0, wave, local);
-}
-
-void
-DetailedSliceSim::forward(unsigned col, unsigned row, unsigned wave,
-                          std::int32_t sum)
-{
-    if (row + 1 < numRows) {
-        vertical[col][row]->send(noc::Flit{
-            static_cast<std::uint64_t>(static_cast<std::uint32_t>(sum)),
-            wave});
-    } else {
-        if (wave != completed[col].size())
-            bfree_panic("column ", col, ": wave ", wave,
-                        " completed out of order");
-        completed[col].push_back(sum);
-        drain_tick = std::max(drain_tick, queue->now());
-    }
-}
-
-void
 DetailedSliceSim::onWaveTrain(unsigned col, sim::Tick first)
 {
-    // Forward the whole train to the next column first, mirroring the
-    // per-flit engine's propagate-then-compute order.
+    // Forward the whole train to the next column first: the streaming
+    // link runs concurrently with this column's compute.
     if (col + 1 < numCols) {
         std::vector<noc::Flit> train;
         train.reserve(numWaves);
@@ -313,14 +266,6 @@ DetailedSliceSim::beginStreaming(
 }
 
 void
-DetailedSliceSim::injectWaveNow(unsigned wave)
-{
-    if (currentInputs == nullptr)
-        bfree_panic("injectWaveNow outside a stream");
-    triggerColumn(0, wave);
-}
-
-void
 DetailedSliceSim::injectAllWavesNow()
 {
     if (currentInputs == nullptr)
@@ -342,7 +287,7 @@ DetailedSliceSim::finishStreaming()
 
     // Convert every node's integer micro-op tallies into joules before
     // the shared account is read; fixed grid order keeps the float
-    // accumulation identical across engines and thread counts.
+    // accumulation identical across thread counts.
     for (auto &column : grid)
         for (auto &node : column)
             node->bce.flushEnergy();
@@ -364,18 +309,9 @@ DetailedSliceSim::run(const std::vector<std::vector<std::int8_t>> &inputs)
     }
 
     beginStreaming(inputs);
-    const sim::Tick base = queue->now();
-    const sim::Tick cps_ticks = stepTicks();
-    if (gridEngine == GridEngine::Burst) {
-        if (numWaves > 0) {
-            queue->scheduleCallback(base + cps_ticks,
-                                    [this] { injectAllWavesNow(); });
-        }
-    } else {
-        for (unsigned w = 0; w < numWaves; ++w) {
-            queue->scheduleCallback(base + (w + 1) * cps_ticks,
-                                    [this, w] { injectWaveNow(w); });
-        }
+    if (numWaves > 0) {
+        queue->scheduleCallback(queue->now() + stepTicks(),
+                                [this] { injectAllWavesNow(); });
     }
     queue->run();
     return finishStreaming();

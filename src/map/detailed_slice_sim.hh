@@ -20,22 +20,18 @@
  * functional outputs are exact and the wall clock cross-validates the
  * closed form used by the analytic model.
  *
- * Two timing engines produce identical results:
+ * Router traffic moves as wave trains: each link ships its whole train
+ * as one Router::sendBurst, O(rows * cols) events per stream. Every
+ * inter-wave gap is the same cps cycles and every quantity is a
+ * multiple of the clock period, so flit arrival times are recovered
+ * arithmetically from (first_arrival, cadence) with zero rounding. The
+ * router charges one hop per flit, so flit counts and energy are those
+ * of one send per flit.
  *
- *  - GridEngine::PerFlit schedules one router event per flit per hop —
- *    the original, literal model, O(rows * cols * waves) events;
- *
- *  - GridEngine::Burst ships each link's whole wave train as one
- *    Router::sendBurst, O(rows * cols) events. Because every inter-wave
- *    gap is the same cps cycles and every quantity is a multiple of the
- *    clock period, flit arrival times are recovered arithmetically from
- *    (first_arrival, cadence) with zero rounding, so cycle counts,
- *    outputs, flit counts and energy are bit-identical to PerFlit.
- *
- * The streaming API (beginStreaming / injectWaveNow / injectAllWavesNow
- * / finishStreaming) lets a caller drive the grid from an external
- * event queue and energy account — the full-cache driver runs one grid
- * per LLC slice on per-shard queues this way.
+ * The streaming API (beginStreaming / injectAllWavesNow /
+ * finishStreaming) lets a caller drive the grid from an external event
+ * queue and energy account — the full-cache driver runs one grid per
+ * LLC slice on per-shard queues this way.
  */
 
 #ifndef BFREE_MAP_DETAILED_SLICE_SIM_HH
@@ -67,13 +63,6 @@ std::uint64_t detailed_grid_formula(unsigned rows, unsigned cols,
                                     unsigned waves, std::uint64_t cps,
                                     unsigned hop);
 
-/** Timing engine for the grid's router traffic. */
-enum class GridEngine
-{
-    PerFlit, ///< One scheduled event per flit per hop (literal model).
-    Burst,   ///< One scheduled event per wave train per hop.
-};
-
 /**
  * The 2-D systolic grid simulation.
  */
@@ -84,7 +73,6 @@ class DetailedSliceSim
      * @param rows      Sub-arrays per column (input-channel slices).
      * @param cols      Columns (filters / sub-bank chains).
      * @param slice_len Dot-product elements each node owns.
-     * @param engine    Router timing engine; identical results.
      * @param ext_queue Event queue to schedule on; nullptr means the
      *                  grid owns a private queue (required for run()).
      * @param ext_account Energy account to charge; nullptr means a
@@ -93,7 +81,6 @@ class DetailedSliceSim
     DetailedSliceSim(const tech::CacheGeometry &geom,
                      const tech::TechParams &tech, unsigned rows,
                      unsigned cols, unsigned slice_len, unsigned bits,
-                     GridEngine engine = GridEngine::Burst,
                      sim::EventQueue *ext_queue = nullptr,
                      mem::EnergyAccount *ext_account = nullptr);
 
@@ -114,18 +101,14 @@ class DetailedSliceSim
 
     /**
      * Streaming API: arm the grid for @p inputs. The caller then
-     * schedules injections on the grid's queue (injectWaveNow per wave
-     * for PerFlit, one injectAllWavesNow for Burst — wave w is taken to
-     * enter column 0 at now + w * stepTicks()) and, once the queue has
-     * drained, collects the result with finishStreaming().
+     * schedules one injectAllWavesNow on the grid's queue (wave w is
+     * taken to enter column 0 at now + w * stepTicks()) and, once the
+     * queue has drained, collects the result with finishStreaming().
      */
     void
     beginStreaming(const std::vector<std::vector<std::int8_t>> &inputs);
 
-    /** Wave @p wave enters column 0 now (PerFlit engine). */
-    void injectWaveNow(unsigned wave);
-
-    /** All waves enter column 0 starting now, cps apart (Burst). */
+    /** All waves enter column 0 starting now, cps apart. */
     void injectAllWavesNow();
 
     /** Flush energy and collect the result of the current stream. */
@@ -158,22 +141,15 @@ class DetailedSliceSim
   private:
     struct Node;
 
-    /** Wave w has arrived (horizontally) at column @p col. */
-    void triggerColumn(unsigned col, unsigned wave);
-
-    /** Vertical forwarding inside a column (PerFlit engine). */
-    void forward(unsigned col, unsigned row, unsigned wave,
-                 std::int32_t sum);
-
     /**
-     * Burst engine: the whole wave train has arrived at column @p col,
-     * wave 0 at tick @p first and wave w at first + w * stepTicks().
+     * The whole wave train has arrived at column @p col, wave 0 at
+     * tick @p first and wave w at first + w * stepTicks().
      */
     void onWaveTrain(unsigned col, sim::Tick first);
 
     /**
-     * Burst engine: a partial-sum train has arrived at (col, row),
-     * timed like onWaveTrain. @p sums holds one partial per wave.
+     * A partial-sum train has arrived at (col, row), timed like
+     * onWaveTrain. @p flits holds one partial per wave.
      */
     void onPartialTrain(unsigned col, unsigned row, sim::Tick first,
                         const noc::Flit *flits, std::size_t n);
@@ -184,7 +160,6 @@ class DetailedSliceSim
     unsigned numCols;
     unsigned sliceLen;
     unsigned bits;
-    GridEngine gridEngine;
 
     /** Owned instances when no external queue/account was supplied;
      *  declared before the grid so nodes can hold references. */

@@ -2,9 +2,9 @@
  * @file
  * DetailedCacheSim: full-cache detailed timing over all LLC slices.
  *
- * The acceptance bar for the sharded engine is bit-exactness: the same
- * integer accumulators, cycle counts, event counts and energy as the
- * single-queue baseline for any worker count, and the same dequantized
+ * The acceptance bar is bit-exactness against the oracles: the plain
+ * integer GEMM, the closed-form drain time, one router hop per flit,
+ * the same statistics for any worker count, and the same dequantized
  * layer outputs as the functional LUT executor.
  */
 
@@ -112,38 +112,6 @@ TEST(DetailedCacheFormula, MaxOverShiftedSliceDrains)
               0u);
 }
 
-TEST(DetailedSliceSim, BurstEngineMatchesPerFlitBitwise)
-{
-    const unsigned rows = 4, cols = 3, slice_len = 2, waves = 5;
-    tech::CacheGeometry geom;
-    tech::TechParams tp;
-
-    std::vector<std::vector<std::vector<std::int8_t>>> weights(cols);
-    for (unsigned c = 0; c < cols; ++c) {
-        weights[c].resize(rows);
-        for (unsigned r = 0; r < rows; ++r)
-            weights[c][r] = make_matrix(1, slice_len, 13 + c * rows + r)[0];
-    }
-    const auto inputs = make_matrix(waves, rows * slice_len, 29);
-
-    DetailedSliceSim per_flit(geom, tp, rows, cols, slice_len, 8,
-                              GridEngine::PerFlit);
-    per_flit.loadWeights(weights);
-    const auto a = per_flit.run(inputs);
-
-    DetailedSliceSim burst(geom, tp, rows, cols, slice_len, 8,
-                           GridEngine::Burst);
-    burst.loadWeights(weights);
-    const auto b = burst.run(inputs);
-
-    EXPECT_EQ(a.outputs, b.outputs);
-    EXPECT_EQ(a.cycles, b.cycles);
-    // The burst engine ships wave trains, not individual flits: far
-    // fewer scheduled events for the same simulated behaviour.
-    EXPECT_LT(b.events, a.events);
-    expect_energy_bitwise_equal(per_flit.energy(), burst.energy());
-}
-
 TEST(DetailedCacheSim, GemmMatchesIntegerReferenceAndFormula)
 {
     const unsigned k = 16, filters = 20, waves = 5;
@@ -152,9 +120,7 @@ TEST(DetailedCacheSim, GemmMatchesIntegerReferenceAndFormula)
     const auto fbank = make_matrix(filters, k, 41);
     const auto inputs = make_matrix(waves, k, 5);
 
-    DetailedCacheOptions opts;
-    opts.engine = CacheEngine::SingleQueue;
-    DetailedCacheSim sim(geom, tp, opts);
+    DetailedCacheSim sim(geom, tp);
     const auto result = sim.runGemm(fbank, inputs);
 
     EXPECT_EQ(result.accs, reference_gemm(fbank, inputs));
@@ -180,37 +146,6 @@ TEST(DetailedCacheSim, GemmMatchesIntegerReferenceAndFormula)
                                 result.sliceCycles.end()));
 }
 
-TEST(DetailedCacheSim, ShardedIsBitIdenticalToSingleQueue)
-{
-    const unsigned k = 24, filters = 17, waves = 6;
-    tech::CacheGeometry geom;
-    tech::TechParams tp;
-    const auto fbank = make_matrix(filters, k, 3);
-    const auto inputs = make_matrix(waves, k, 57);
-
-    DetailedCacheOptions single;
-    single.engine = CacheEngine::SingleQueue;
-    DetailedCacheSim base(geom, tp, single);
-    const auto a = base.runGemm(fbank, inputs);
-
-    DetailedCacheOptions sharded;
-    sharded.engine = CacheEngine::Sharded;
-    sharded.threads = 4;
-    DetailedCacheSim par(geom, tp, sharded);
-    const auto b = par.runGemm(fbank, inputs);
-
-    EXPECT_EQ(a.accs, b.accs);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.sliceCycles, b.sliceCycles);
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.activeSlices, b.activeSlices);
-    expect_energy_bitwise_equal(a.energy, b.energy);
-    // Only the sharded engine reports epoch/message telemetry.
-    EXPECT_EQ(a.epochs, 0u);
-    EXPECT_GT(b.epochs, 0u);
-    EXPECT_GT(b.crossMessages, 0u);
-}
-
 TEST(DetailedCacheSim, ShardedIsDeterministicAcrossThreadCounts)
 {
     const unsigned k = 24, filters = 17, waves = 6;
@@ -221,7 +156,6 @@ TEST(DetailedCacheSim, ShardedIsDeterministicAcrossThreadCounts)
 
     auto run_with = [&](unsigned threads) {
         DetailedCacheOptions opts;
-        opts.engine = CacheEngine::Sharded;
         opts.threads = threads;
         DetailedCacheSim sim(geom, tp, opts);
         return sim.runGemm(fbank, inputs);
@@ -236,31 +170,44 @@ TEST(DetailedCacheSim, ShardedIsDeterministicAcrossThreadCounts)
     EXPECT_EQ(one.epochs, many.epochs);
     EXPECT_EQ(one.crossMessages, many.crossMessages);
     expect_energy_bitwise_equal(one.energy, many.energy);
+    // The input stream hands off between slices as cross-shard
+    // messages, each crossing at an epoch barrier.
+    EXPECT_GT(one.epochs, 0u);
+    EXPECT_GT(one.crossMessages, 0u);
 }
 
-TEST(DetailedCacheSim, PerFlitGridAgreesAtCacheScale)
+TEST(DetailedCacheSim, RouterEnergyMatchesHopCountPerSlice)
 {
-    const unsigned k = 12, filters = 9, waves = 4;
+    // Each wave crosses cols - 1 horizontal links and rows - 1 vertical
+    // links per column of its slice's grid; every crossing is one flit
+    // hop. Charging that many scalar hops per active slice and merging
+    // in slice order must reproduce the router joules bit for bit.
+    const unsigned k = 24, filters = 31, waves = 6;
     tech::CacheGeometry geom;
     tech::TechParams tp;
-    const auto fbank = make_matrix(filters, k, 19);
-    const auto inputs = make_matrix(waves, k, 23);
+    const auto fbank = make_matrix(filters, k, 11);
+    const auto inputs = make_matrix(waves, k, 37);
 
-    auto run_grid = [&](GridEngine grid) {
-        DetailedCacheOptions opts;
-        opts.engine = CacheEngine::Sharded;
-        opts.grid = grid;
-        opts.threads = 2;
-        DetailedCacheSim sim(geom, tp, opts);
-        return sim.runGemm(fbank, inputs);
-    };
+    DetailedCacheOptions opts;
+    opts.threads = 2;
+    DetailedCacheSim sim(geom, tp, opts);
+    const auto result = sim.runGemm(fbank, inputs);
 
-    const auto per_flit = run_grid(GridEngine::PerFlit);
-    const auto burst = run_grid(GridEngine::Burst);
-    EXPECT_EQ(per_flit.accs, burst.accs);
-    EXPECT_EQ(per_flit.cycles, burst.cycles);
-    EXPECT_LT(burst.events, per_flit.events);
-    expect_energy_bitwise_equal(per_flit.energy, burst.energy);
+    const unsigned rows = sim.rowsFor(k);
+    mem::EnergyAccount expect;
+    for (unsigned cols : partition_filters(filters, geom.numSlices)) {
+        if (cols == 0)
+            continue;
+        mem::EnergyAccount slice;
+        const std::uint64_t hops =
+            (std::uint64_t(cols - 1) + std::uint64_t(cols) * (rows - 1))
+            * waves;
+        for (std::uint64_t i = 0; i < hops; ++i)
+            slice.addPj(EnergyCategory::Router, tp.routerHopPj);
+        expect += slice;
+    }
+    EXPECT_EQ(result.energy.joules(EnergyCategory::Router),
+              expect.joules(EnergyCategory::Router));
 }
 
 TEST(DetailedCacheSim, ConvMatchesFunctionalExecutorBitwise)

@@ -42,6 +42,39 @@ reference_output(const Weights &w, const std::vector<std::int8_t> &wave,
     return acc;
 }
 
+/** Random weights and input waves for one grid case. */
+struct GridData
+{
+    Weights weights;
+    std::vector<std::vector<std::int8_t>> inputs;
+};
+
+GridData
+random_grid_data(const GridCase &p)
+{
+    bfree::sim::Rng rng(500 + p.rows * 10 + p.cols);
+    const int lo = p.bits == 4 ? -8 : -128;
+    const int hi = p.bits == 4 ? 7 : 127;
+
+    GridData d;
+    d.weights.resize(p.cols);
+    for (auto &col : d.weights) {
+        col.resize(p.rows);
+        for (auto &slice : col) {
+            slice.resize(p.slice_len);
+            for (auto &w : slice)
+                w = static_cast<std::int8_t>(rng.uniformInt(lo, hi));
+        }
+    }
+    d.inputs.resize(p.waves);
+    for (auto &wave : d.inputs) {
+        wave.resize(std::size_t(p.rows) * p.slice_len);
+        for (auto &x : wave)
+            x = static_cast<std::int8_t>(rng.uniformInt(lo, hi));
+    }
+    return d;
+}
+
 } // namespace
 
 TEST_P(GridSweep, OutputsAndCyclesMatchClosedForm)
@@ -51,28 +84,8 @@ TEST_P(GridSweep, OutputsAndCyclesMatchClosedForm)
     TechParams tech;
     DetailedSliceSim sim(geom, tech, p.rows, p.cols, p.slice_len,
                          p.bits);
-
-    bfree::sim::Rng rng(500 + p.rows * 10 + p.cols);
-    const int lo = p.bits == 4 ? -8 : -128;
-    const int hi = p.bits == 4 ? 7 : 127;
-
-    Weights weights(p.cols);
-    for (auto &col : weights) {
-        col.resize(p.rows);
-        for (auto &slice : col) {
-            slice.resize(p.slice_len);
-            for (auto &w : slice)
-                w = static_cast<std::int8_t>(rng.uniformInt(lo, hi));
-        }
-    }
+    const auto [weights, inputs] = random_grid_data(p);
     sim.loadWeights(weights);
-
-    std::vector<std::vector<std::int8_t>> inputs(p.waves);
-    for (auto &wave : inputs) {
-        wave.resize(std::size_t(p.rows) * p.slice_len);
-        for (auto &x : wave)
-            x = static_cast<std::int8_t>(rng.uniformInt(lo, hi));
-    }
 
     const DetailedGridResult r = sim.run(inputs);
 
@@ -90,6 +103,30 @@ TEST_P(GridSweep, OutputsAndCyclesMatchClosedForm)
               detailed_grid_formula(p.rows, p.cols, p.waves,
                                     sim.cyclesPerStep(),
                                     tech.routerHopCycles));
+}
+
+TEST_P(GridSweep, RouterEnergyMatchesHopCount)
+{
+    // Each wave crosses cols - 1 horizontal links and rows - 1 vertical
+    // links per column; every crossing is one flit hop. Charging that
+    // many scalar hops must reproduce the router joules bit for bit.
+    const GridCase p = GetParam();
+    CacheGeometry geom;
+    TechParams tech;
+    DetailedSliceSim sim(geom, tech, p.rows, p.cols, p.slice_len,
+                         p.bits);
+    const GridData d = random_grid_data(p);
+    sim.loadWeights(d.weights);
+    sim.run(d.inputs);
+
+    bfree::mem::EnergyAccount expect;
+    const std::uint64_t hops =
+        (std::uint64_t(p.cols - 1) + std::uint64_t(p.cols) * (p.rows - 1))
+        * p.waves;
+    for (std::uint64_t i = 0; i < hops; ++i)
+        expect.addPj(bfree::mem::EnergyCategory::Router, tech.routerHopPj);
+    EXPECT_EQ(sim.energy().joules(bfree::mem::EnergyCategory::Router),
+              expect.joules(bfree::mem::EnergyCategory::Router));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -216,7 +216,7 @@ TEST(Router, ScalarAndBurstTrafficInterleaveInOrder)
     EXPECT_EQ(f.router.flitsForwarded(), 3u);
 }
 
-TEST(Router, BackToBackScalarSendsChargePerFlit)
+TEST(Router, BackToBackScalarSendsChargeEachFlit)
 {
     RouterFixture f;
     f.router.connect([](const Flit &) {});
