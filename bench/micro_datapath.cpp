@@ -17,7 +17,6 @@
  */
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -120,12 +119,12 @@ main(int argc, char **argv)
     const unsigned threads = sim::threads_from_args(argc, argv);
     std::string out_path = "BENCH_pr3.json";
     std::string baseline_path;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out"))
-            out_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-baseline"))
-            baseline_path = argv[i + 1];
-    }
+    std::string threads_arg;
+    if (!sim::parse_bench_flags(argc, argv,
+                                {{"--out", &out_path},
+                                 {"--check-baseline", &baseline_path},
+                                 {"--threads", &threads_arg}}))
+        return 1;
 
     const std::vector<Point> points = {
         {"conv_8bit", bce::BceMode::Conv, 8, 4000},

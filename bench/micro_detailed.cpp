@@ -39,7 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -193,26 +192,13 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_pr4.json";
     std::string baseline_path;
     std::string dump_path;
-    for (int i = 1; i < argc; ++i) {
-        std::string *value = nullptr;
-        if (!std::strcmp(argv[i], "--out"))
-            value = &out_path;
-        else if (!std::strcmp(argv[i], "--check-baseline"))
-            value = &baseline_path;
-        else if (!std::strcmp(argv[i], "--dump-stats"))
-            value = &dump_path;
-        else if (std::strcmp(argv[i], "--threads")) {
-            std::cerr << "unknown option '" << argv[i] << "'\n";
-            return 1;
-        }
-        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
-            std::cerr << argv[i] << " needs a value\n";
-            return 1;
-        }
-        ++i;
-        if (value)
-            *value = argv[i];
-    }
+    std::string threads_arg;
+    if (!sim::parse_bench_flags(argc, argv,
+                                {{"--out", &out_path},
+                                 {"--check-baseline", &baseline_path},
+                                 {"--dump-stats", &dump_path},
+                                 {"--threads", &threads_arg}}))
+        return 1;
 
     const std::vector<Gemm> gemms = {
         {"", 16, 42, 896},

@@ -117,14 +117,13 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_pr5.json";
     std::string baseline_path;
     bool dump_stats = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--dump-stats"))
-            dump_stats = true;
-        else if (!std::strcmp(argv[i], "--out") && i + 1 < argc)
-            out_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-baseline") && i + 1 < argc)
-            baseline_path = argv[i + 1];
-    }
+    std::string threads_arg;
+    if (!sim::parse_bench_flags(argc, argv,
+                                {{"--out", &out_path},
+                                 {"--check-baseline", &baseline_path},
+                                 {"--dump-stats", nullptr, &dump_stats},
+                                 {"--threads", &threads_arg}}))
+        return 1;
 
     const dnn::Network net = make_mlp();
     sim::Rng rng(5);

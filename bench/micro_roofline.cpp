@@ -20,7 +20,11 @@
  *    tiered loop. Two reported-only matmul points run the LSTM gate
  *    row (k = 1063, a ragged length at every width): one at 4 bits,
  *    one at 8 bits, so the cost of the span tail and of the 4-bit
- *    domain handling shows next to the headline.
+ *    domain handling shows next to the headline. Two reported-only
+ *    tile points run whole matmulTile GEMVs against column features
+ *    computed once up front, as a compiled plan freezes them: the LSTM
+ *    gate shape (1 x 1063 by 1063 x 4096) at 4 bits and the BERT-base
+ *    FFN shape (1 x 768 by 768 x 3072) at 8 bits.
  *
  *  - stages / stages_<mode>: whole-image wall time of one conv layer
  *    split into marshal (everything that produces int8 patches:
@@ -53,7 +57,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -163,6 +166,40 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
         checksum += pass();
     const double secs = seconds_since(start);
     const double macs = static_cast<double>(reps) * len;
+    return secs > 0.0 ? macs / secs : 0.0;
+}
+
+/**
+ * Steady-state MAC/s of a 1 x k by n x k matmulTile GEMV on the active
+ * ISA, tallied against BT column features computed once up front (the
+ * frozen-weight shape every FC, LSTM and attention layer runs).
+ */
+double
+measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
+                        std::size_t reps, std::int64_t &checksum)
+{
+    const int limit = bits == 4 ? 7 : 127;
+    const std::vector<std::int8_t> a = pattern(k, 3, limit);
+    const std::vector<std::int8_t> bt = pattern(n * k, 4, limit);
+    lut::ColumnFeatures frozen;
+    bce::simd::column_features(bt.data(), n, k, frozen);
+    std::vector<std::int32_t> out(n);
+
+    Engine e(bce::BceMode::Matmul);
+    auto pass = [&] {
+        std::fill(out.begin(), out.end(), 0);
+        e.bce.matmulTile(a.data(), bt.data(), out.data(), 1, k, n, bits,
+                         &frozen);
+        for (const std::int32_t v : out)
+            checksum += v;
+    };
+    pass(); // warm-up: table seeding stays untimed
+
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < reps; ++r)
+        pass();
+    const double secs = seconds_since(start);
+    const double macs = static_cast<double>(reps) * k * n;
     return secs > 0.0 ? macs / secs : 0.0;
 }
 
@@ -390,6 +427,16 @@ kernel_section(sim::SimdLevel level)
  *  inputs): the 4-bit matvec of the LSTM workloads. */
 constexpr std::size_t lstm_gate_k = 1063;
 
+/** Gate rows of LSTM-1024 (four gates of 1024). */
+constexpr std::size_t lstm_gate_n = 4096;
+
+/** BERT-base feed-forward up-projection: d_model 768 -> 3072. */
+constexpr std::size_t ffn_k = 768;
+constexpr std::size_t ffn_n = 3072;
+
+/** Whole GEMVs per tile point (each several million MACs). */
+constexpr std::size_t tile_reps = 40;
+
 constexpr sim::SimdLevel all_levels[] = {
     sim::SimdLevel::Scalar, sim::SimdLevel::Avx2, sim::SimdLevel::Avx512};
 
@@ -400,12 +447,10 @@ main(int argc, char **argv)
 {
     std::string out_path = "BENCH_pr10.json";
     std::string baseline_path;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (!std::strcmp(argv[i], "--out"))
-            out_path = argv[i + 1];
-        else if (!std::strcmp(argv[i], "--check-baseline"))
-            baseline_path = argv[i + 1];
-    }
+    if (!sim::parse_bench_flags(argc, argv,
+                                {{"--out", &out_path},
+                                 {"--check-baseline", &baseline_path}}))
+        return 1;
 
     const unsigned hw = sim::resolve_threads(0);
     const sim::SimdLevel dispatched = sim::active_simd_level();
@@ -442,6 +487,10 @@ main(int argc, char **argv)
             bce::BceMode::Matmul, 4, lstm_gate_k, reps, checksum);
         const double mm8_ragged = measure_kernel_macs_per_s(
             bce::BceMode::Matmul, 8, lstm_gate_k, reps, checksum);
+        const double tile4 = measure_tile_macs_per_s(
+            4, lstm_gate_k, lstm_gate_n, tile_reps, checksum);
+        const double tile8 = measure_tile_macs_per_s(
+            8, ffn_k, ffn_n, tile_reps, checksum);
 
         if (level == sim::SimdLevel::Scalar) {
             scalar_conv = conv;
@@ -456,16 +505,19 @@ main(int argc, char **argv)
         json.set(sec, "matmul_8bit_macs_per_s", mm);
         json.set(sec, "matmul_4bit_macs_per_s", mm4);
         json.set(sec, "matmul_8bit_ragged_macs_per_s", mm8_ragged);
+        json.set(sec, "tile_gemv_4bit_macs_per_s", tile4);
+        json.set(sec, "tile_gemv_8bit_macs_per_s", tile8);
         json.set(sec, "speedup_vs_scalar",
                  scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         best_conv = std::max(best_conv, conv);
-        char line[240];
+        char line[320];
         std::snprintf(line, sizeof(line),
                       "%-14s conv %9.2f  matmul %9.2f  matmul4@%zu "
-                      "%9.2f  matmul8@%zu %9.2f MMAC/s  vs scalar "
-                      "%5.2fx\n",
+                      "%9.2f  matmul8@%zu %9.2f  tile4 %9.2f  tile8 "
+                      "%9.2f MMAC/s  vs scalar %5.2fx\n",
                       sec.c_str(), conv / 1e6, mm / 1e6, lstm_gate_k,
                       mm4 / 1e6, lstm_gate_k, mm8_ragged / 1e6,
+                      tile4 / 1e6, tile8 / 1e6,
                       scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         std::cout << line;
     }

@@ -312,8 +312,7 @@ Bce::dotProductSpan(const std::int8_t *weights, const std::int8_t *inputs,
         // The dispatched SIMD kernel returns exactly the sums the
         // scalar loop would have accumulated element by element.
         const lut::DatapathTable &t = convTable(bits);
-        const simd::SpanSums s = simd::run_span(
-            t, weights, inputs, len, simd::SpanSemantics::ConvClamp);
+        const simd::SpanSums s = simd::run_span(t, weights, inputs, len);
         acc = s.acc;
         stats_.counts.lutLookups += s.lookups;
         stats_.counts.shifts += s.shifts;
@@ -368,48 +367,86 @@ std::int32_t
 Bce::matmulDotSpan(const std::int8_t *a, const std::int8_t *b,
                    std::size_t len, unsigned bits)
 {
-    if (_mode != BceMode::Matmul)
-        bfree_panic("broadcastMac requires matmul mode");
-
     std::int32_t acc = 0;
-    if (_tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)) {
-        const lut::DatapathTable &t = lut::rom_datapath_table(bits);
-        const simd::SpanSums s = simd::run_span(
-            t, a, b, len, simd::SpanSemantics::MatmulStrict);
-        if (!s.inRange) {
-            // Out of range: the analyzer raises the legacy panic.
-            lut::multiply_signed(a[s.firstOutOfRange],
-                                 b[s.firstOutOfRange], bits, rom,
-                                 lut::LookupSource::BceRom);
-        }
-        acc = s.acc;
-        stats_.counts.romLookups += s.lookups;
-        stats_.counts.shifts += s.shifts;
-        stats_.counts.adds += s.adds + len; // one lane add per element
-        stats_.counts.cycles += s.cycles;
-    } else {
-        for (std::size_t i = 0; i < len; ++i) {
-            lut::MultResult r = lut::multiply_signed(
-                a[i], b[i], bits, rom, lut::LookupSource::BceRom);
-            stats_.counts += r.counts;
-            acc += static_cast<std::int32_t>(r.product);
-            ++stats_.counts.adds;
-        }
-    }
-
-    chargeCycles(len * (bits / 4));
-    stats_.macs += len;
+    matmulTile(a, b, &acc, 1, len, 1, bits);
     return acc;
+}
+
+void
+Bce::checkTileDomain(const std::int8_t *a, const std::int8_t *bt,
+                     std::size_t m, std::size_t k, std::size_t n,
+                     unsigned bits)
+{
+    const std::int32_t limit = std::int32_t{1} << (bits - 1);
+    const auto outside = [limit](std::int8_t v) {
+        return v < -limit || v > limit;
+    };
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            for (std::size_t t = 0; t < k; ++t)
+                if (outside(a[i * k + t]) || outside(bt[j * k + t]))
+                    lut::multiply_signed(a[i * k + t], bt[j * k + t],
+                                         bits, rom,
+                                         lut::LookupSource::BceRom);
 }
 
 void
 Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
                 std::int32_t *out, std::size_t m, std::size_t k,
-                std::size_t n, unsigned bits)
+                std::size_t n, unsigned bits,
+                const lut::ColumnFeatures *btFeatures)
 {
-    for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            out[i * n + j] += matmulDotSpan(a + i * k, bt + j * k, k, bits);
+    if (_mode != BceMode::Matmul)
+        bfree_panic("broadcastMac requires matmul mode");
+
+    const std::uint64_t macs = std::uint64_t{m} * n * k;
+    const lut::DatapathTable *t =
+        _tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
+            ? &lut::rom_datapath_table(bits)
+            : nullptr;
+    if (t && t->productsExact() && t->histogramExact()) {
+        // Factored tile: each operand classified once, the tally one
+        // column dot product per feature (see lut::ColumnFeatures).
+        if (!btFeatures) {
+            simd::column_features(bt, n, k, tileB_);
+            btFeatures = &tileB_;
+        } else if (!btFeatures->describes(n, k)) {
+            bfree_panic("matmulTile: BT features describe ",
+                        btFeatures->rows, " x ", btFeatures->cols,
+                        ", tile is ", n, " x ", k);
+        }
+        std::uint32_t maxA = 0;
+        const simd::FeatureSums f =
+            simd::fold_tile(a, m, k, *btFeatures, maxA);
+        const std::uint32_t half = std::uint32_t{1} << (bits - 1);
+        if (macs > 0
+            && (maxA > half || btFeatures->maxMagnitude > half))
+            checkTileDomain(a, bt, m, k, n, bits);
+
+        simd::tile_products(a, bt, out, m, k, n, wideA_);
+        stats_.counts.romLookups += f.l;
+        stats_.counts.shifts += f.p - f.o;
+        stats_.counts.adds += f.p - f.z + macs; // + one lane add per MAC
+        stats_.counts.cycles += t->cyclesFactor() * f.p;
+    } else {
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                auto acc = static_cast<std::uint32_t>(out[i * n + j]);
+                for (std::size_t p = 0; p < k; ++p) {
+                    lut::MultResult r = lut::multiply_signed(
+                        a[i * k + p], bt[j * k + p], bits, rom,
+                        lut::LookupSource::BceRom);
+                    stats_.counts += r.counts;
+                    acc += static_cast<std::uint32_t>(r.product);
+                    ++stats_.counts.adds;
+                }
+                out[i * n + j] = static_cast<std::int32_t>(acc);
+            }
+        }
+    }
+
+    chargeCycles(macs * (bits / 4));
+    stats_.macs += macs;
 }
 
 std::int32_t

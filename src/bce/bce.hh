@@ -19,11 +19,15 @@
  * decomposition on every multiply — it is the reference. The Tiered
  * engine memoizes the decomposition into flat datapath tables (one per
  * mode/precision, seeded BY the legacy path over the whole operand
- * space) and exposes batched span kernels, turning a steady-state MAC
- * into one table read plus integer adds. Both tiers are bit- and
- * stat-exact by construction. The tables are built once per process
- * and shared read-only by every engine; only an engine whose LUT rows
- * were rewritten after the image load seeds private conv tables.
+ * space) whose verified bilinear feature fold turns the tallies into
+ * per-operand work: a conv span classifies each of its operand pairs,
+ * and a matmul tile classifies each operand once, summing its class
+ * features down the columns (the frozen weight side is summed once at
+ * plan compile), so the whole tile's tally is one column dot product.
+ * Both tiers are bit- and stat-exact by construction. The tables are
+ * built once per process and shared read-only by every engine; only an
+ * engine whose LUT rows were rewritten after the image load seeds
+ * private conv tables.
  *
  * Energy is not booked per micro-op. The hot loops keep integer tallies
  * only (cycles per mode, ROM lookups, LUT-row reads, special-function
@@ -198,10 +202,10 @@ class Bce
                       std::int32_t *acc, unsigned bits);
 
     /**
-     * Matmul-mode dot product over two spans: exactly equivalent to
-     * len single-lane broadcastMac() steps (per element: ROM micro-ops,
-     * one lane add, bits/4 cycles, one MAC). Returns the int32
-     * accumulator.
+     * Matmul-mode dot product over two spans: a 1 x 1 matmulTile(),
+     * exactly equivalent to len single-lane broadcastMac() steps (per
+     * element: ROM micro-ops, one lane add, bits/4 cycles, one MAC).
+     * Returns the int32 accumulator.
      */
     std::int32_t matmulDotSpan(const std::int8_t *a,
                                const std::int8_t *b, std::size_t len,
@@ -211,12 +215,22 @@ class Bce
      * Blocked matmul tile: A is m x k row-major, BT is the transposed
      * B tile (n x k row-major, so both operands stream contiguously),
      * and out (m x n row-major) is accumulated in place:
-     * out[i][j] += dot(A[i], BT[j]). Equivalent to m*n matmulDotSpan()
-     * calls.
+     * out[i][j] += dot(A[i], BT[j]). Books exactly what m*n dot
+     * products of len k booked one element at a time.
+     *
+     * The Tiered engine computes a plain int8 GEMM and the tally as
+     * sum_t FA_t * FB_t per class feature (lut::ColumnFeatures).
+     * @p btFeatures, when given, must be BT's column features (a
+     * frozen weight tile's, computed once at plan compile); otherwise
+     * they are computed per call. Scratch is grow-only and owned by
+     * the engine, so repeated tiles stop allocating. At 4 bits an
+     * operand outside [-8, 8] raises the analyzer's panic for the
+     * first offending pair in (i, j, t) order, as the Legacy walk does.
      */
     void matmulTile(const std::int8_t *a, const std::int8_t *bt,
                     std::int32_t *out, std::size_t m, std::size_t k,
-                    std::size_t n, unsigned bits);
+                    std::size_t n, unsigned bits,
+                    const lut::ColumnFeatures *btFeatures = nullptr);
 
     /** Accumulate a partial sum arriving from the systolic neighbour. */
     std::int32_t accumulateIncoming(std::int32_t local,
@@ -297,6 +311,13 @@ class Bce
      */
     const lut::DatapathTable &convTable(unsigned bits);
 
+    /** Raise the legacy analyzer panic for the first out-of-domain
+     *  operand pair of a tile, in (i, j, t) order; returns when the
+     *  tile has none. */
+    void checkTileDomain(const std::int8_t *a, const std::int8_t *bt,
+                         std::size_t m, std::size_t k, std::size_t n,
+                         unsigned bits);
+
     mem::Subarray *sa;
     tech::TechParams tech;
     mem::EnergyAccount *energy;
@@ -307,6 +328,10 @@ class Bce
     BceStats stats_;
     mem::BceEnergyTallies flushed_; ///< Tallies already converted.
     lut::DatapathTable convTable4_, convTable8_; ///< Private, post-rewrite.
+    /** Grow-only matmul-tile scratch: BT's column features when the
+     *  caller has none, and one widened A row. */
+    lut::ColumnFeatures tileB_;
+    std::vector<std::int16_t> wideA_;
     std::uint64_t pristineGeneration_ = 0; ///< LUT generation at image load.
     std::uint64_t convSeeds_ = 0; ///< Private conv-table (re)seed count.
     bool multLutLoaded = false;

@@ -51,54 +51,215 @@ struct TallyBlock
 };
 
 /**
- * Scalar element loop over [begin, end): the whole span for tables the
- * fold cannot serve, and the rest of a span after the fold met a
- * strict-domain violation. Accumulates into @p s / @p acc; returns
- * false at the first strict-domain violation (with firstOutOfRange
- * set).
+ * Scalar conv-span loop over the table planes: the reference every
+ * vector level reproduces, and the whole span for tables the fold
+ * cannot serve.
  */
-bool
-scalar_range(const lut::DatapathTable &t, const std::int8_t *a,
-             const std::int8_t *b, std::size_t begin, std::size_t end,
-             bool clamp, bool strict, std::uint32_t &acc, SpanSums &s)
+SpanSums
+span_scalar(const lut::DatapathTable &t, const std::int8_t *a,
+            const std::int8_t *b, std::size_t len, bool clamp)
 {
     const std::int32_t half = t.half();
     const std::int32_t *prod = t.products();
     const std::uint32_t *delta = t.deltas();
     const bool exact = t.productsExact();
 
+    SpanSums s;
+    std::uint32_t acc = 0;
     TallyBlock tb;
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < len; ++i) {
         std::int32_t w = a[i];
         std::int32_t x = b[i];
         if (clamp) {
             w = std::clamp(w, -half, half - 1);
             x = std::clamp(x, -half, half - 1);
-        } else if (strict
-                   && (w < -half || w > half || x < -half || x > half)) {
-            tb.spill(s);
-            s.inRange = false;
-            s.firstOutOfRange = i;
-            return false;
         }
         const std::size_t idx = t.index(w, x);
         acc += static_cast<std::uint32_t>(exact ? w * x : prod[idx]);
         tb.add(delta[idx], s);
     }
     tb.spill(s);
-    return true;
-}
-
-SpanSums
-span_scalar(const lut::DatapathTable &t, const std::int8_t *a,
-            const std::int8_t *b, std::size_t len, bool clamp,
-            bool strict)
-{
-    SpanSums s;
-    std::uint32_t acc = 0;
-    scalar_range(t, a, b, 0, len, clamp, strict, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
+}
+
+/** Magnitude byte of an int8 operand (abs(-128) reads 128). */
+inline std::uint8_t
+magnitude(std::int8_t v)
+{
+    return static_cast<std::uint8_t>(v < 0 ? -v : v);
+}
+
+/** Column-feature block geometry (see lut::ColumnFeatures). */
+constexpr std::size_t block_rows = lut::ColumnFeatures::block_rows;
+
+/**
+ * Fold steps a vector level accumulates in int32 lanes before widening
+ * to u64: one step adds <= 2 * 2 * 126 * 126 = 63504 to a lane.
+ */
+constexpr unsigned fold_spill_steps = 256;
+
+/**
+ * The class features of every magnitude byte packed one per byte,
+ * p | o << 8 | l << 16 | z << 24.
+ */
+constexpr std::array<std::uint32_t, 256> packed_features = [] {
+    using T = lut::DatapathTable;
+    std::array<std::uint32_t, 256> r{};
+    for (unsigned u = 0; u < 256; ++u) {
+        const unsigned cls =
+            T::pair_type_class[T::nibble_type[u >> 4] * 5u
+                               + T::nibble_type[u & 0xF]];
+        r[u] = T::class_feature_p[cls]
+               | std::uint32_t{T::class_feature_o[cls]} << 8
+               | std::uint32_t{T::class_feature_l[cls]} << 16
+               | std::uint32_t{T::class_feature_z[cls]} << 24;
+    }
+    return r;
+}();
+
+/** Columns one scalar feature block covers (the widest vector step). */
+constexpr std::size_t scalar_chunk = 64;
+
+/**
+ * Classify columns [b0, b0 + w) of rows [r0, r1) of the row-major
+ * matrix @p m (@p cols wide) and add their packed features into
+ * @p packed, one u32 per column (each byte sum stays <= 126). Returns
+ * the largest magnitude it met.
+ */
+std::uint8_t
+pack_features(const std::int8_t *m, std::size_t cols, std::size_t r0,
+              std::size_t r1, std::size_t b0, std::size_t w,
+              std::uint32_t *packed)
+{
+    std::uint8_t mx = 0;
+    for (std::size_t r = r0; r < r1; ++r) {
+        const std::int8_t *src = m + r * cols + b0;
+        for (std::size_t c = 0; c < w; ++c) {
+            const std::uint8_t u = magnitude(src[c]);
+            packed[c] += packed_features[u];
+            mx = std::max(mx, u);
+        }
+    }
+    return mx;
+}
+
+/** Split @p w packed column sums into the four feature rows at @p dst,
+ *  @p stride bytes apart. */
+void
+unpack_features(const std::uint32_t *packed, std::size_t w,
+                std::uint8_t *dst, std::size_t stride)
+{
+    for (unsigned f = 0; f < 4; ++f)
+        for (std::size_t c = 0; c < w; ++c)
+            dst[f * stride + c] =
+                static_cast<std::uint8_t>(packed[c] >> (8 * f));
+}
+
+/**
+ * Scalar column-feature pass over columns [c0, cols), the padding
+ * columns up to the stride written 0. Returns the largest magnitude
+ * it met.
+ */
+std::uint32_t
+column_features_scalar(const std::int8_t *m, std::size_t rows,
+                       std::size_t cols, std::size_t c0,
+                       std::uint8_t *sums)
+{
+    const std::size_t stride = lut::ColumnFeatures::stride(cols);
+    std::uint8_t mx = 0;
+    std::uint32_t packed[scalar_chunk];
+    for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
+        const std::size_t r1 = std::min(rows, r0 + block_rows);
+        std::uint8_t *block = sums + 4 * (r0 / block_rows) * stride;
+        for (std::size_t b0 = c0; b0 < stride; b0 += scalar_chunk) {
+            const std::size_t w = std::min(scalar_chunk, stride - b0);
+            std::fill(packed, packed + w, 0u);
+            if (b0 < cols)
+                mx = std::max(mx, pack_features(m, cols, r0, r1, b0,
+                                                std::min(w, cols - b0),
+                                                packed));
+            unpack_features(packed, w, block + b0, stride);
+        }
+    }
+    return mx;
+}
+
+/**
+ * Dot product of two 8-byte words of block sums (every byte <= 126)
+ * in scalar registers. Reversing y's bytes lines lane i of x's 16-bit
+ * lanes up with lane 3 - i of y's, so coefficient 3 of the u64 product
+ * (bits 48..63) is a four-term dot product; no coefficient exceeds
+ * 4 * 126^2 < 2^16, so none carries into the next.
+ */
+inline std::uint64_t
+dot8_swar(std::uint64_t x, std::uint64_t y)
+{
+    constexpr std::uint64_t lanes = 0x00FF00FF00FF00FFull;
+    const std::uint64_t ry = __builtin_bswap64(y);
+    return ((x & lanes) * (ry >> 8 & lanes) >> 48)
+           + ((x >> 8 & lanes) * (ry & lanes) >> 48);
+}
+
+/**
+ * Scalar tile fold over A's columns [c0, k): per block of A rows and
+ * 64-column chunk, the four byte sums of a column are accumulated
+ * packed in one u32 (each <= 126), split into feature rows padded with
+ * zeros to whole words, and folded against every BT block eight
+ * columns per multiply. Accumulates into @p s; returns the largest A
+ * magnitude it met.
+ */
+std::uint32_t
+fold_tile_scalar(const std::int8_t *a, std::size_t m, std::size_t k,
+                 std::size_t c0, const lut::ColumnFeatures &bt,
+                 FeatureSums &s)
+{
+    const std::size_t stride = lut::ColumnFeatures::stride(k);
+    const std::size_t nb = bt.blocks();
+    std::uint64_t *const total[4] = {&s.p, &s.o, &s.l, &s.z};
+    std::uint8_t mx = 0;
+    std::uint32_t packed[scalar_chunk];
+    std::uint8_t fa[4 * scalar_chunk];
+    for (std::size_t r0 = 0; r0 < m; r0 += block_rows) {
+        const std::size_t r1 = std::min(m, r0 + block_rows);
+        for (std::size_t b0 = c0; b0 < k; b0 += scalar_chunk) {
+            const std::size_t w = std::min(scalar_chunk, k - b0);
+            const std::size_t padded = (w + 7) / 8 * 8;
+            std::fill(packed, packed + padded, 0u);
+            mx = std::max(mx, pack_features(a, k, r0, r1, b0, w, packed));
+            unpack_features(packed, padded, fa, scalar_chunk);
+            const std::uint8_t *y = bt.sums.data() + b0;
+            for (std::size_t jb = 0; jb < nb; ++jb, y += 4 * stride) {
+                for (unsigned f = 0; f < 4; ++f) {
+                    std::uint64_t acc = 0;
+                    for (std::size_t t = 0; t < padded; t += 8) {
+                        std::uint64_t wx, wy;
+                        std::memcpy(&wx, fa + f * scalar_chunk + t, 8);
+                        std::memcpy(&wy, y + f * stride + t, 8);
+                        acc += dot8_swar(wx, wy);
+                    }
+                    *total[f] += acc;
+                }
+            }
+        }
+    }
+    return mx;
+}
+
+void
+tile_products_scalar(const std::int8_t *a, const std::int8_t *bt,
+                     std::int32_t *out, std::size_t m, std::size_t k,
+                     std::size_t n)
+{
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            std::uint32_t acc = static_cast<std::uint32_t>(out[i * n + j]);
+            for (std::size_t t = 0; t < k; ++t)
+                acc += static_cast<std::uint32_t>(
+                    std::int32_t{a[i * k + t]} * bt[j * k + t]);
+            out[i * n + j] = static_cast<std::int32_t>(acc);
+        }
+    }
 }
 
 #ifdef BFREE_X86_KERNELS
@@ -210,6 +371,56 @@ constexpr std::array<std::uint8_t, 16> id25_hi = id25_hi_table();
         (cls) = _mm512_mask_blend_epi8(m_, rlo_, rhi_);                  \
     } while (0)
 
+/** The four per-class feature shuffle tables (p, o, l, z). */
+#define BFREE_FEATURE_CONST_256(name, feature)                           \
+    const __m256i name = _mm256_broadcastsi128_si256(_mm_loadu_si128(    \
+        reinterpret_cast<const __m128i *>(                               \
+            lut::DatapathTable::feature.data())))
+
+#define BFREE_FEATURE_CONSTS_256                                         \
+    BFREE_FEATURE_CONST_256(kFP, class_feature_p);                       \
+    BFREE_FEATURE_CONST_256(kFO, class_feature_o);                       \
+    BFREE_FEATURE_CONST_256(kFL, class_feature_l);                       \
+    BFREE_FEATURE_CONST_256(kFZ, class_feature_z)
+
+#define BFREE_FEATURE_CONST_512(name, feature)                           \
+    const __m512i name = _mm512_broadcast_i32x4(_mm_loadu_si128(         \
+        reinterpret_cast<const __m128i *>(                               \
+            lut::DatapathTable::feature.data())))
+
+#define BFREE_FEATURE_CONSTS_512                                         \
+    BFREE_FEATURE_CONST_512(kFP, class_feature_p);                       \
+    BFREE_FEATURE_CONST_512(kFO, class_feature_o);                       \
+    BFREE_FEATURE_CONST_512(kFL, class_feature_l);                       \
+    BFREE_FEATURE_CONST_512(kFZ, class_feature_z)
+
+/**
+ * Add the class features of one row vector @p v to the byte-lane block
+ * sums fp, fo, fl, fz and its magnitudes into the running maximum mx
+ * (the column passes and the tile folds share it).
+ */
+#define BFREE_ADD_FEATURES_256(v)                                        \
+    do {                                                                 \
+        __m256i cls_;                                                    \
+        BFREE_CLASSIFY_256(v, cls_);                                     \
+        fp = _mm256_add_epi8(fp, _mm256_shuffle_epi8(kFP, cls_));        \
+        fo = _mm256_add_epi8(fo, _mm256_shuffle_epi8(kFO, cls_));        \
+        fl = _mm256_add_epi8(fl, _mm256_shuffle_epi8(kFL, cls_));        \
+        fz = _mm256_add_epi8(fz, _mm256_shuffle_epi8(kFZ, cls_));        \
+        mx = _mm256_max_epu8(mx, _mm256_abs_epi8(v));                    \
+    } while (0)
+
+#define BFREE_ADD_FEATURES_512(v)                                        \
+    do {                                                                 \
+        __m512i cls_;                                                    \
+        BFREE_CLASSIFY_512(v, cls_);                                     \
+        fp = _mm512_add_epi8(fp, _mm512_shuffle_epi8(kFP, cls_));        \
+        fo = _mm512_add_epi8(fo, _mm512_shuffle_epi8(kFO, cls_));        \
+        fl = _mm512_add_epi8(fl, _mm512_shuffle_epi8(kFL, cls_));        \
+        fz = _mm512_add_epi8(fz, _mm512_shuffle_epi8(kFZ, cls_));        \
+        mx = _mm512_max_epu8(mx, _mm512_abs_epi8(v));                    \
+    } while (0)
+
 /** Mod-2^32 sum of eight u32 lanes (the wrapping product reduce). */
 __attribute__((target("avx2"))) std::uint32_t
 wsum_u32x8(__m256i v)
@@ -228,17 +439,6 @@ wsum_u32x8(__m256i v)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
-
-/**
- * The feature dot products of one span, the factored histogram fold:
- * P = sum p(a)p(b), O = sum o(a)o(b), L = sum l(a)l(b),
- * Z = sum z(a)z(b). The caller turns them into micro-op tallies with
- * the verified bilinear formulas (see DatapathTable).
- */
-struct FeatureSums
-{
-    std::uint64_t p = 0, o = 0, l = 0, z = 0;
-};
 
 /** Fold the feature dot products into SpanSums micro-op tallies. */
 void
@@ -266,15 +466,21 @@ constexpr std::size_t sep_spill_block = 4000;
  * short spans — the epilogue runs once per call and production spans
  * are a few hundred elements.
  */
-__attribute__((target("avx2"))) void
-reduce_features_u32x8(__m256i p, __m256i o, __m256i l, __m256i z,
-                      FeatureSums &f)
+__attribute__((target("avx2"))) __m128i
+hsum4_u32x8(__m256i p, __m256i o, __m256i l, __m256i z)
 {
     const __m256i po = _mm256_hadd_epi32(p, o);
     const __m256i lz = _mm256_hadd_epi32(l, z);
     const __m256i polz = _mm256_hadd_epi32(po, lz);
-    const __m128i r = _mm_add_epi32(_mm256_castsi256_si128(polz),
-                                    _mm256_extracti128_si256(polz, 1));
+    return _mm_add_epi32(_mm256_castsi256_si128(polz),
+                         _mm256_extracti128_si256(polz, 1));
+}
+
+__attribute__((target("avx2"))) void
+reduce_features_u32x8(__m256i p, __m256i o, __m256i l, __m256i z,
+                      FeatureSums &f)
+{
+    const __m128i r = hsum4_u32x8(p, o, l, z);
     f.p += static_cast<std::uint32_t>(_mm_extract_epi32(r, 0));
     f.o += static_cast<std::uint32_t>(_mm_extract_epi32(r, 1));
     f.l += static_cast<std::uint32_t>(_mm_extract_epi32(r, 2));
@@ -289,39 +495,23 @@ reduce_features_u32x8(__m256i p, __m256i o, __m256i l, __m256i z,
  * against the build-verified pairDeltas collapse.
  *
  * 4-bit spans take the same fold. With @p clamp each operand byte is
- * clamped to [-half, half - 1] before it is classified and multiplied;
- * with @p strict each block is checked against [-half, +half] and a
- * hit hands the rest of the span to scalar_range, which reports the
- * first offender in element order. The ragged tail (len % 32) is one
+ * clamped to [-half, half - 1] before it is classified and multiplied.
+ * The ragged tail (len % 32) is one
  * more step over a zero-filled copy: zero is class 0, whose features
  * and product are all 0, so the padding lanes add nothing to any sum.
  */
 __attribute__((target("avx2"))) SpanSums
 span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
-               const std::int8_t *b, std::size_t len, bool clamp,
-               bool strict)
+               const std::int8_t *b, std::size_t len, bool clamp)
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_256;
-    const __m256i kFP = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_p.data())));
-    const __m256i kFO = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_o.data())));
-    const __m256i kFL = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_l.data())));
-    const __m256i kFZ = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_z.data())));
+    BFREE_FEATURE_CONSTS_256;
     const __m256i kOne16 = _mm256_set1_epi16(1);
-    // Read only by 4-bit spans: the clamp range [kMin, kClampMax] and
-    // the strict magnitude limit kHalf.
+    // Read only by 4-bit spans: the clamp range [kMin, kClampMax].
     const __m256i kMin = _mm256_set1_epi8(static_cast<char>(-t.half()));
     const __m256i kClampMax =
         _mm256_set1_epi8(static_cast<char>(t.half() - 1));
-    const __m256i kHalf = _mm256_set1_epi8(static_cast<char>(t.half()));
 
     __m256i accP = _mm256_setzero_si256();
     __m256i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -339,8 +529,7 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    std::size_t i = 0;
-    for (; i < len; i += 32) {
+    for (std::size_t i = 0; i < len; i += 32) {
         __m256i va, vb;
         if (len - i >= 32) {
             va = _mm256_loadu_si256(
@@ -357,15 +546,6 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
         if (clamp) {
             va = _mm256_min_epi8(_mm256_max_epi8(va, kMin), kClampMax);
             vb = _mm256_min_epi8(_mm256_max_epi8(vb, kMin), kClampMax);
-        } else if (strict) {
-            // Unsigned |v| (abs(-128) reads 128) exceeds half exactly
-            // when v is out of domain; the saturating subtract leaves
-            // a nonzero byte only there.
-            const __m256i over = _mm256_subs_epu8(
-                _mm256_max_epu8(_mm256_abs_epi8(va), _mm256_abs_epi8(vb)),
-                kHalf);
-            if (!_mm256_testz_si256(over, over))
-                break;
         }
 
         const __m256i a0 =
@@ -401,47 +581,29 @@ span_avx2_hist(const lut::DatapathTable &t, const std::int8_t *a,
 #undef BFREE_SEP_SPILL_256
     fold_features(f, t.cyclesFactor(), s);
     acc += wsum_u32x8(accP);
-
-    // Only a strict-domain violation leaves elements unfolded.
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
 }
 
 /**
  * AVX-512 histogram fold: 64 pairs per step, same factored fold and
- * clamp/strict handling as the AVX2 variant in 512-bit lanes (BW byte
+ * clamp handling as the AVX2 variant in 512-bit lanes (BW byte
  * shuffles, mask-blended class compression). The ragged tail is one
  * more step whose masked loads zero the lanes past len (and never
  * touch their memory).
  */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) SpanSums
 span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
-                 const std::int8_t *b, std::size_t len, bool clamp,
-                 bool strict)
+                 const std::int8_t *b, std::size_t len, bool clamp)
 {
     SpanSums s;
     BFREE_CLASSIFY_CONSTS_512;
-    const __m512i kFP = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_p.data())));
-    const __m512i kFO = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_o.data())));
-    const __m512i kFL = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_l.data())));
-    const __m512i kFZ = _mm512_broadcast_i32x4(_mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(
-            lut::DatapathTable::class_feature_z.data())));
+    BFREE_FEATURE_CONSTS_512;
     const __m512i kOne16 = _mm512_set1_epi16(1);
-    // Read only by 4-bit spans: the clamp range [kMin, kClampMax] and
-    // the strict magnitude limit kHalf.
+    // Read only by 4-bit spans: the clamp range [kMin, kClampMax].
     const __m512i kMin = _mm512_set1_epi8(static_cast<char>(-t.half()));
     const __m512i kClampMax =
         _mm512_set1_epi8(static_cast<char>(t.half() - 1));
-    const __m512i kHalf = _mm512_set1_epi8(static_cast<char>(t.half()));
 
     __m512i accP = _mm512_setzero_si512();
     __m512i sP = accP, sO = accP, sL = accP, sZ = accP;
@@ -464,8 +626,7 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         sinceSpill = 0;                                                  \
     } while (0)
 
-    std::size_t i = 0;
-    for (; i < len; i += 64) {
+    for (std::size_t i = 0; i < len; i += 64) {
         const __mmask64 lanes = len - i >= 64
                                     ? ~__mmask64{0}
                                     : (__mmask64{1} << (len - i)) - 1;
@@ -474,13 +635,6 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
         if (clamp) {
             va = _mm512_min_epi8(_mm512_max_epi8(va, kMin), kClampMax);
             vb = _mm512_min_epi8(_mm512_max_epi8(vb, kMin), kClampMax);
-        } else if (strict
-                   && _mm512_cmpgt_epu8_mask(
-                          _mm512_max_epu8(_mm512_abs_epi8(va),
-                                          _mm512_abs_epi8(vb)),
-                          kHalf)
-                          != 0) {
-            break;
         }
 
         const __m512i a0 =
@@ -519,12 +673,387 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
     acc += wsum_u32x8(
         _mm256_add_epi32(_mm512_castsi512_si256(accP),
                          _mm512_extracti64x4_epi64(accP, 1)));
-
-    // Only a strict-domain violation leaves elements unfolded.
-    if (i < len)
-        scalar_range(t, a, b, i, len, clamp, strict, acc, s);
     s.acc = static_cast<std::int32_t>(acc);
     return s;
+}
+
+/** Largest of 32 unsigned bytes. */
+__attribute__((target("avx2"))) std::uint32_t
+hmax_u8x32(__m256i v)
+{
+    __m128i x = _mm_max_epu8(_mm256_castsi256_si128(v),
+                             _mm256_extracti128_si256(v, 1));
+    x = _mm_max_epu8(x, _mm_srli_si128(x, 8));
+    x = _mm_max_epu8(x, _mm_srli_si128(x, 4));
+    x = _mm_max_epu8(x, _mm_srli_si128(x, 2));
+    x = _mm_max_epu8(x, _mm_srli_si128(x, 1));
+    return static_cast<std::uint32_t>(_mm_cvtsi128_si32(x)) & 0xFF;
+}
+
+/**
+ * AVX2 column-feature pass: 32 columns per step, each block's rows
+ * summed in byte lanes and stored as they are. The ragged column tail
+ * (cols % 32) and the padding take the scalar pass.
+ */
+__attribute__((target("avx2"))) std::uint32_t
+column_features_avx2(const std::int8_t *m, std::size_t rows,
+                     std::size_t cols, std::uint8_t *sums)
+{
+    BFREE_CLASSIFY_CONSTS_256;
+    BFREE_FEATURE_CONSTS_256;
+    const std::size_t stride = lut::ColumnFeatures::stride(cols);
+    const std::size_t cv = cols / 32 * 32;
+    __m256i mx = _mm256_setzero_si256();
+    for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
+        const std::size_t r1 = std::min(rows, r0 + block_rows);
+        std::uint8_t *block = sums + 4 * (r0 / block_rows) * stride;
+        for (std::size_t c0 = 0; c0 < cv; c0 += 32) {
+            __m256i fp = _mm256_setzero_si256();
+            __m256i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const __m256i v = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(m + r * cols + c0));
+                BFREE_ADD_FEATURES_256(v);
+            }
+            std::uint8_t *dst = block + c0;
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst), fp);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(dst + stride), fo);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(dst + 2 * stride), fl);
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(dst + 3 * stride), fz);
+        }
+    }
+    return std::max(hmax_u8x32(mx),
+                    column_features_scalar(m, rows, cols, cv, sums));
+}
+
+/** Sum of eight u32 lanes, widened to u64. */
+__attribute__((target("avx2"))) std::uint64_t
+sum_u32x8(__m256i v)
+{
+    alignas(32) std::uint32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), v);
+    std::uint64_t sum = 0;
+    for (const std::uint32_t x : lanes)
+        sum += x;
+    return sum;
+}
+
+/**
+ * AVX2 tile fold: A's block rows summed in byte lanes 32 columns at a
+ * time, then one maddubs per feature against each BT block (both byte
+ * sums are <= 126, so each int16 pair sum stays <= 31752), widened to
+ * int32 lanes by madd and to u64 every fold_spill_steps steps. The
+ * ragged column tail (k % 32) takes the scalar fold.
+ */
+__attribute__((target("avx2"))) std::uint32_t
+fold_tile_avx2(const std::int8_t *a, std::size_t m, std::size_t k,
+               const lut::ColumnFeatures &bt, FeatureSums &s)
+{
+    BFREE_CLASSIFY_CONSTS_256;
+    BFREE_FEATURE_CONSTS_256;
+    const std::size_t stride = lut::ColumnFeatures::stride(k);
+    const std::size_t nb = bt.blocks();
+    const std::uint8_t *const sums = bt.sums.data();
+    const std::size_t kv = k / 32 * 32;
+    const __m256i ones = _mm256_set1_epi16(1);
+    __m256i accP = _mm256_setzero_si256();
+    __m256i accO = accP, accL = accP, accZ = accP, mx = accP;
+    unsigned steps = 0;
+#define BFREE_FOLD_SPILL_256()                                           \
+    do {                                                                 \
+        s.p += sum_u32x8(accP);                                          \
+        s.o += sum_u32x8(accO);                                          \
+        s.l += sum_u32x8(accL);                                          \
+        s.z += sum_u32x8(accZ);                                          \
+        accP = accO = accL = accZ = _mm256_setzero_si256();              \
+        steps = 0;                                                       \
+    } while (0)
+#define BFREE_FOLD_STEP_256(acc, fa, f)                                  \
+    (acc) = _mm256_add_epi32(                                            \
+        (acc), _mm256_madd_epi16(                                        \
+                 _mm256_maddubs_epi16(                                   \
+                     fa, _mm256_loadu_si256(                             \
+                             reinterpret_cast<const __m256i *>(          \
+                                 y + (f) * stride))),                    \
+                 ones))
+    for (std::size_t r0 = 0; r0 < m; r0 += block_rows) {
+        const std::size_t r1 = std::min(m, r0 + block_rows);
+        for (std::size_t c0 = 0; c0 < kv; c0 += 32) {
+            __m256i fp = _mm256_setzero_si256();
+            __m256i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const __m256i v = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(a + r * k + c0));
+                BFREE_ADD_FEATURES_256(v);
+            }
+            const std::uint8_t *y = sums + c0;
+            for (std::size_t jb = 0; jb < nb; ++jb, y += 4 * stride) {
+                BFREE_FOLD_STEP_256(accP, fp, 0);
+                BFREE_FOLD_STEP_256(accO, fo, 1);
+                BFREE_FOLD_STEP_256(accL, fl, 2);
+                BFREE_FOLD_STEP_256(accZ, fz, 3);
+                if (++steps == fold_spill_steps)
+                    BFREE_FOLD_SPILL_256();
+            }
+        }
+    }
+    BFREE_FOLD_SPILL_256();
+#undef BFREE_FOLD_STEP_256
+#undef BFREE_FOLD_SPILL_256
+    return std::max(hmax_u8x32(mx), fold_tile_scalar(a, m, k, kv, bt, s));
+}
+
+/**
+ * AVX2 tile products: row i of A is widened to int16 once, then four
+ * BT rows per pass are widened 16 bytes at a time and madd-ed against
+ * it (|a*b| <= 2^14, so each madd pair fits int32; the int32 lane sums
+ * wrap exactly like the scalar u32 accumulation). The k % 16 tail is
+ * a scalar loop.
+ */
+__attribute__((target("avx2"))) void
+tile_products_avx2(const std::int8_t *a, const std::int8_t *bt,
+                   std::int32_t *out, std::size_t m, std::size_t k,
+                   std::size_t n, std::int16_t *wide)
+{
+    const std::size_t kv = k / 16 * 16;
+    const auto tail = [&](const std::int8_t *ai, const std::int8_t *bj) {
+        std::uint32_t s = 0;
+        for (std::size_t t = kv; t < k; ++t)
+            s += static_cast<std::uint32_t>(std::int32_t{ai[t]} * bj[t]);
+        return s;
+    };
+#define BFREE_TILE_STEP_256(acc, row)                                    \
+    (acc) = _mm256_add_epi32(                                            \
+        (acc), _mm256_madd_epi16(                                        \
+                 av, _mm256_cvtepi8_epi16(_mm_loadu_si128(               \
+                         reinterpret_cast<const __m128i *>((row) + t)))))
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::int8_t *ai = a + i * k;
+        for (std::size_t t = 0; t < kv; t += 16)
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(wide + t),
+                _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(ai + t))));
+        std::int32_t *oi = out + i * n;
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            const std::int8_t *b0 = bt + j * k, *b1 = b0 + k,
+                              *b2 = b1 + k, *b3 = b2 + k;
+            __m256i s0 = _mm256_setzero_si256();
+            __m256i s1 = s0, s2 = s0, s3 = s0;
+            for (std::size_t t = 0; t < kv; t += 16) {
+                const __m256i av = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(wide + t));
+                BFREE_TILE_STEP_256(s0, b0);
+                BFREE_TILE_STEP_256(s1, b1);
+                BFREE_TILE_STEP_256(s2, b2);
+                BFREE_TILE_STEP_256(s3, b3);
+            }
+            const __m128i tails = _mm_setr_epi32(
+                static_cast<int>(tail(ai, b0)), static_cast<int>(tail(ai, b1)),
+                static_cast<int>(tail(ai, b2)), static_cast<int>(tail(ai, b3)));
+            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
+            _mm_storeu_si128(
+                dst, _mm_add_epi32(_mm_loadu_si128(dst),
+                                   _mm_add_epi32(hsum4_u32x8(s0, s1, s2, s3),
+                                                 tails)));
+        }
+        for (; j < n; ++j) {
+            const std::int8_t *b0 = bt + j * k;
+            __m256i s0 = _mm256_setzero_si256();
+            for (std::size_t t = 0; t < kv; t += 16) {
+                const __m256i av = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(wide + t));
+                BFREE_TILE_STEP_256(s0, b0);
+            }
+            oi[j] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(s0)
+                + tail(ai, b0));
+        }
+    }
+#undef BFREE_TILE_STEP_256
+}
+
+/**
+ * AVX-512 column-feature pass: the AVX2 pass at 64 columns per step,
+ * the ragged column tail read through masked loads that zero the lanes
+ * past cols (and never touch their memory); its zero features land in
+ * the padding columns.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint32_t
+column_features_avx512(const std::int8_t *m, std::size_t rows,
+                       std::size_t cols, std::uint8_t *sums)
+{
+    BFREE_CLASSIFY_CONSTS_512;
+    BFREE_FEATURE_CONSTS_512;
+    const std::size_t stride = lut::ColumnFeatures::stride(cols);
+    __m512i mx = _mm512_setzero_si512();
+    for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
+        const std::size_t r1 = std::min(rows, r0 + block_rows);
+        std::uint8_t *block = sums + 4 * (r0 / block_rows) * stride;
+        for (std::size_t c0 = 0; c0 < cols; c0 += 64) {
+            const std::size_t w = std::min<std::size_t>(64, cols - c0);
+            const __mmask64 lanes =
+                w == 64 ? ~__mmask64{0} : (__mmask64{1} << w) - 1;
+            __m512i fp = _mm512_setzero_si512();
+            __m512i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const __m512i v =
+                    _mm512_maskz_loadu_epi8(lanes, m + r * cols + c0);
+                BFREE_ADD_FEATURES_512(v);
+            }
+            std::uint8_t *dst = block + c0;
+            _mm512_storeu_si512(dst, fp);
+            _mm512_storeu_si512(dst + stride, fo);
+            _mm512_storeu_si512(dst + 2 * stride, fl);
+            _mm512_storeu_si512(dst + 3 * stride, fz);
+        }
+    }
+    return hmax_u8x32(_mm256_max_epu8(_mm512_castsi512_si256(mx),
+                                      _mm512_extracti64x4_epi64(mx, 1)));
+}
+
+/** Sum of sixteen u32 lanes, widened to u64. */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint64_t
+sum_u32x16(__m512i v)
+{
+    const __m512i lo = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(v));
+    const __m512i hi =
+        _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(v, 1));
+    return static_cast<std::uint64_t>(
+        _mm512_reduce_add_epi64(_mm512_add_epi64(lo, hi)));
+}
+
+/**
+ * AVX-512 tile fold: the AVX2 fold at 64 columns per step, the ragged
+ * column tail read through masked loads; its zero lanes meet BT's zero
+ * padding columns.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) std::uint32_t
+fold_tile_avx512(const std::int8_t *a, std::size_t m, std::size_t k,
+                 const lut::ColumnFeatures &bt, FeatureSums &s)
+{
+    BFREE_CLASSIFY_CONSTS_512;
+    BFREE_FEATURE_CONSTS_512;
+    const std::size_t stride = lut::ColumnFeatures::stride(k);
+    const std::size_t nb = bt.blocks();
+    const std::uint8_t *const sums = bt.sums.data();
+    const __m512i ones = _mm512_set1_epi16(1);
+    __m512i accP = _mm512_setzero_si512();
+    __m512i accO = accP, accL = accP, accZ = accP, mx = accP;
+    unsigned steps = 0;
+#define BFREE_FOLD_SPILL_512()                                           \
+    do {                                                                 \
+        s.p += sum_u32x16(accP);                                         \
+        s.o += sum_u32x16(accO);                                         \
+        s.l += sum_u32x16(accL);                                         \
+        s.z += sum_u32x16(accZ);                                         \
+        accP = accO = accL = accZ = _mm512_setzero_si512();              \
+        steps = 0;                                                       \
+    } while (0)
+#define BFREE_FOLD_STEP_512(acc, fa, f)                                  \
+    (acc) = _mm512_add_epi32(                                            \
+        (acc), _mm512_madd_epi16(                                        \
+                 _mm512_maddubs_epi16(                                   \
+                     fa, _mm512_loadu_si512(y + (f) * stride)),          \
+                 ones))
+    for (std::size_t r0 = 0; r0 < m; r0 += block_rows) {
+        const std::size_t r1 = std::min(m, r0 + block_rows);
+        for (std::size_t c0 = 0; c0 < k; c0 += 64) {
+            const std::size_t w = std::min<std::size_t>(64, k - c0);
+            const __mmask64 lanes =
+                w == 64 ? ~__mmask64{0} : (__mmask64{1} << w) - 1;
+            __m512i fp = _mm512_setzero_si512();
+            __m512i fo = fp, fl = fp, fz = fp;
+            for (std::size_t r = r0; r < r1; ++r) {
+                const __m512i v =
+                    _mm512_maskz_loadu_epi8(lanes, a + r * k + c0);
+                BFREE_ADD_FEATURES_512(v);
+            }
+            const std::uint8_t *y = sums + c0;
+            for (std::size_t jb = 0; jb < nb; ++jb, y += 4 * stride) {
+                BFREE_FOLD_STEP_512(accP, fp, 0);
+                BFREE_FOLD_STEP_512(accO, fo, 1);
+                BFREE_FOLD_STEP_512(accL, fl, 2);
+                BFREE_FOLD_STEP_512(accZ, fz, 3);
+                if (++steps == fold_spill_steps)
+                    BFREE_FOLD_SPILL_512();
+            }
+        }
+    }
+    BFREE_FOLD_SPILL_512();
+#undef BFREE_FOLD_STEP_512
+#undef BFREE_FOLD_SPILL_512
+    return hmax_u8x32(_mm256_max_epu8(_mm512_castsi512_si256(mx),
+                                      _mm512_extracti64x4_epi64(mx, 1)));
+}
+
+/**
+ * AVX-512 tile products: the AVX2 scheme at 32 int16 lanes, with the
+ * k % 32 tail as one more step whose masked BT loads zero the lanes
+ * past k (the widened A row is zero-padded to match).
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+tile_products_avx512(const std::int8_t *a, const std::int8_t *bt,
+                     std::int32_t *out, std::size_t m, std::size_t k,
+                     std::size_t n, std::int16_t *wide)
+{
+    const std::size_t steps = (k + 31) / 32;
+    const __mmask32 tailLanes =
+        k % 32 == 0 ? ~__mmask32{0} : (__mmask32{1} << (k % 32)) - 1;
+#define BFREE_TILE_LOAD_512(row, s)                                      \
+    _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(                        \
+        (s) + 1 == steps ? tailLanes : ~__mmask32{0}, (row) + (s) * 32))
+#define BFREE_TILE_STEP_512(acc, row)                                    \
+    (acc) = _mm512_add_epi32(                                            \
+        (acc), _mm512_madd_epi16(av, BFREE_TILE_LOAD_512(row, s)))
+#define BFREE_FOLD_TO_256(v)                                             \
+    _mm256_add_epi32(_mm512_castsi512_si256(v),                          \
+                     _mm512_extracti64x4_epi64(v, 1))
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::int8_t *ai = a + i * k;
+        for (std::size_t s = 0; s < steps; ++s)
+            _mm512_storeu_si512(wide + s * 32, BFREE_TILE_LOAD_512(ai, s));
+        std::int32_t *oi = out + i * n;
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            const std::int8_t *b0 = bt + j * k, *b1 = b0 + k,
+                              *b2 = b1 + k, *b3 = b2 + k;
+            __m512i s0 = _mm512_setzero_si512();
+            __m512i s1 = s0, s2 = s0, s3 = s0;
+            for (std::size_t s = 0; s < steps; ++s) {
+                const __m512i av = _mm512_loadu_si512(wide + s * 32);
+                BFREE_TILE_STEP_512(s0, b0);
+                BFREE_TILE_STEP_512(s1, b1);
+                BFREE_TILE_STEP_512(s2, b2);
+                BFREE_TILE_STEP_512(s3, b3);
+            }
+            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
+            _mm_storeu_si128(
+                dst, _mm_add_epi32(_mm_loadu_si128(dst),
+                                   hsum4_u32x8(BFREE_FOLD_TO_256(s0),
+                                               BFREE_FOLD_TO_256(s1),
+                                               BFREE_FOLD_TO_256(s2),
+                                               BFREE_FOLD_TO_256(s3))));
+        }
+        for (; j < n; ++j) {
+            const std::int8_t *b0 = bt + j * k;
+            __m512i s0 = _mm512_setzero_si512();
+            for (std::size_t s = 0; s < steps; ++s) {
+                const __m512i av = _mm512_loadu_si512(wide + s * 32);
+                BFREE_TILE_STEP_512(s0, b0);
+            }
+            oi[j] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(oi[j])
+                + wsum_u32x8(BFREE_FOLD_TO_256(s0)));
+        }
+    }
+#undef BFREE_FOLD_TO_256
+#undef BFREE_TILE_STEP_512
+#undef BFREE_TILE_LOAD_512
 }
 
 #pragma GCC diagnostic pop
@@ -535,15 +1064,12 @@ span_avx512_hist(const lut::DatapathTable &t, const std::int8_t *a,
 
 SpanSums
 run_span(const lut::DatapathTable &table, const std::int8_t *a,
-         const std::int8_t *b, std::size_t len, SpanSemantics semantics)
+         const std::int8_t *b, std::size_t len)
 {
     if (!table.valid())
         bfree_panic("span kernel dispatched on an unseeded datapath "
                     "table");
-    const bool clamp =
-        semantics == SpanSemantics::ConvClamp && table.bits() == 4;
-    const bool strict =
-        semantics == SpanSemantics::MatmulStrict && table.bits() == 4;
+    const bool clamp = table.bits() == 4;
 
     // The fold requires the pristine steady state: every product exact
     // (widening multiply legal) and the whole delta plane verified
@@ -556,17 +1082,86 @@ run_span(const lut::DatapathTable &table, const std::int8_t *a,
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512:
         if (foldable)
-            return span_avx512_hist(table, a, b, len, clamp, strict);
+            return span_avx512_hist(table, a, b, len, clamp);
         break;
       case sim::SimdLevel::Avx2:
         if (foldable)
-            return span_avx2_hist(table, a, b, len, clamp, strict);
+            return span_avx2_hist(table, a, b, len, clamp);
         break;
 #endif
       default:
         break;
     }
-    return span_scalar(table, a, b, len, clamp, strict);
+    return span_scalar(table, a, b, len, clamp);
+}
+
+void
+column_features(const std::int8_t *m, std::size_t rows, std::size_t cols,
+                lut::ColumnFeatures &out)
+{
+    out.rows = rows;
+    out.cols = cols;
+    // The kernels write every byte, the padding columns 0.
+    out.sums.resize(out.blocks() * 4 * lut::ColumnFeatures::stride(cols));
+    std::uint8_t *sums = out.sums.data();
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        out.maxMagnitude = column_features_avx512(m, rows, cols, sums);
+        return;
+      case sim::SimdLevel::Avx2:
+        out.maxMagnitude = column_features_avx2(m, rows, cols, sums);
+        return;
+#endif
+      default:
+        out.maxMagnitude = column_features_scalar(m, rows, cols, 0, sums);
+        return;
+    }
+}
+
+FeatureSums
+fold_tile(const std::int8_t *a, std::size_t m, std::size_t k,
+          const lut::ColumnFeatures &bt, std::uint32_t &maxA)
+{
+    if (bt.cols != k)
+        bfree_panic("column features of ", bt.cols, " columns cannot fold "
+                    "against a tile of ", k);
+    FeatureSums s;
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        maxA = fold_tile_avx512(a, m, k, bt, s);
+        return s;
+      case sim::SimdLevel::Avx2:
+        maxA = fold_tile_avx2(a, m, k, bt, s);
+        return s;
+#endif
+      default:
+        maxA = fold_tile_scalar(a, m, k, 0, bt, s);
+        return s;
+    }
+}
+
+void
+tile_products(const std::int8_t *a, const std::int8_t *bt,
+              std::int32_t *out, std::size_t m, std::size_t k,
+              std::size_t n, std::vector<std::int16_t> &wide)
+{
+    // Room for one A row rounded up to the widest step (32 lanes).
+    wide.resize((k + 31) / 32 * 32);
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        tile_products_avx512(a, bt, out, m, k, n, wide.data());
+        return;
+      case sim::SimdLevel::Avx2:
+        tile_products_avx2(a, bt, out, m, k, n, wide.data());
+        return;
+#endif
+      default:
+        tile_products_scalar(a, bt, out, m, k, n);
+        return;
+    }
 }
 
 namespace {

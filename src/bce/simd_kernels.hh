@@ -1,37 +1,34 @@
 /**
  * @file
- * Vectorized span kernels over the SoA datapath tables.
+ * Vectorized kernels over the SoA datapath tables.
  *
  * These kernels are the steady-state inner loops of the tiered
- * execution engine: given two int8 operand spans and a memoized
- * lut::DatapathTable, they produce the wrapped int32 accumulator plus
- * the summed micro-op tallies — exactly the values the scalar tiered
- * loop in bce.cc used to accumulate element by element, so the caller
- * books identical statistics (and therefore identical energy) no
- * matter which ISA variant ran.
+ * execution engine. Each one produces the wrapped int32 products plus
+ * the summed micro-op tallies — exactly the values the legacy scalar
+ * path accumulates element by element, so the caller books identical
+ * statistics (and therefore identical energy) no matter which ISA
+ * variant ran. Both families rest on the table's verified bilinear
+ * fold: a pair's four micro-op counts are products of tiny per-operand
+ * class features (DatapathTable::class_feature_*).
  *
- * One kernel family serves every table the class collapse verifies,
- * at 4 and 8 bits and on spans of any length: products come from a
- * SIMD widening multiply and the micro-op tallies from the table's
- * verified 256-bin class-pair collapse (DatapathTable::pairDeltas).
- * The fold is computed in factored form — four per-class feature dot
- * products accumulated with byte shuffles and maddubs, mathematically
- * identical to materializing the 256-bin histogram and folding it
- * against pairDeltas(), but without the store-forwarding stalls a
- * binned counter array suffers on skewed class distributions.
+ * Conv spans (run_span): one int8 span against another, products from
+ * a SIMD widening multiply and the tallies from the per-pair feature
+ * dot products, accumulated with byte shuffles and maddubs. 4-bit conv
+ * spans clamp the operand bytes to [-8, 7] in-register before they are
+ * classified and multiplied. The ragged tail of a span is one more
+ * step of the same fold over zero-filled lanes (masked loads on
+ * AVX-512, a zeroed copy on AVX2); zero is class 0 with zero features
+ * and zero product, so padding adds nothing to any sum. A table that
+ * does not report productsExact() AND histogramExact() — a rewritten
+ * LUT row, a doctored test table — walks the scalar table loop at
+ * every level.
  *
- *  - 4-bit conv spans (ConvClamp) clamp the operand bytes in-register
- *    before they are classified and multiplied; 4-bit matmul spans
- *    (MatmulStrict) check each block and hand the rest of the span to
- *    the scalar loop on a violation, which reports the first offender
- *    in element order.
- *  - The ragged tail of a span is one more step of the same fold over
- *    zero-filled lanes (masked loads on AVX-512, a zeroed copy on
- *    AVX2). Zero is class 0 with zero features and zero product, so
- *    padding adds nothing to any sum.
- *  - A table that does not report productsExact() AND
- *    histogramExact() — a rewritten LUT row, a doctored test table —
- *    walks the scalar table loop at every level.
+ * Matmul tiles (column_features, fold_tile, tile_products): the
+ * fold summed over every (i, j) pair of an m x k by n x k tile first
+ * factors into per-column sums of each operand's features, so a tile
+ * classifies each operand once rather than once per MAC pair (see
+ * lut::ColumnFeatures). Products are a plain int8 GEMM with wrapping
+ * int32 accumulation.
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one x86
  * binary carries scalar, AVX2 and AVX-512 paths (any other CPU runs the
@@ -44,6 +41,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "lut/datapath_table.hh"
 
@@ -59,31 +57,54 @@ struct SpanSums
     std::uint64_t shifts = 0;
     std::uint64_t adds = 0;    ///< Intra-multiply adds only.
     std::uint64_t cycles = 0;
-    /** False when MatmulStrict found an out-of-domain operand; the
-     *  caller must reproduce the legacy analyzer panic. */
-    bool inRange = true;
-    std::size_t firstOutOfRange = 0;
-};
-
-/** Domain handling for operands outside [-2^(bits-1), +2^(bits-1)]. */
-enum class SpanSemantics
-{
-    /** Conv spans clamp 4-bit operands to [-8, 7] like the legacy
-     *  dotProduct. */
-    ConvClamp,
-    /** Matmul spans must refuse out-of-domain operands (the legacy
-     *  analyzer panics); the kernel reports the first offender. */
-    MatmulStrict,
 };
 
 /**
- * Run the dispatched span kernel: sum of products and micro-op
- * tallies for a[i] * b[i], i in [0, len), served from @p table.
- * The table must be valid and cover both operand spans' precision.
+ * Run the dispatched conv span kernel: sum of products and micro-op
+ * tallies for a[i] * b[i], i in [0, len), served from @p table. At 4
+ * bits both operands are clamped to [-8, 7] like the legacy conv
+ * dotProduct. The table must be valid.
  */
 SpanSums run_span(const lut::DatapathTable &table, const std::int8_t *a,
-                  const std::int8_t *b, std::size_t len,
-                  SpanSemantics semantics);
+                  const std::int8_t *b, std::size_t len);
+
+/** The four feature dot products of a tile: P = sum p(a)p(b),
+ *  O = sum o(a)o(b), L = sum l(a)l(b), Z = sum z(a)z(b). */
+struct FeatureSums
+{
+    std::uint64_t p = 0, o = 0, l = 0, z = 0;
+};
+
+/**
+ * Classify every entry of the row-major @p rows x @p cols int8 matrix
+ * @p m once and sum its class features down each column of every
+ * 63-row block into @p out (sums overwritten; storage only grows, so a
+ * reused scratch object stops allocating once it has seen its largest
+ * shape). Also records the largest operand magnitude. Vector levels
+ * sum a block in byte lanes, one classification per 32 or 64 entries.
+ */
+void column_features(const std::int8_t *m, std::size_t rows,
+                     std::size_t cols, lut::ColumnFeatures &out);
+
+/**
+ * The tally of an m x k by n x k tile against BT's column features
+ * @p bt: A is classified once, its features summed down each column of
+ * every 63-row block in byte lanes and folded straight against every
+ * block of @p bt — per feature, sum_t FA_t * FB_t. Also reports A's
+ * largest operand magnitude through @p maxA.
+ */
+FeatureSums fold_tile(const std::int8_t *a, std::size_t m, std::size_t k,
+                      const lut::ColumnFeatures &bt, std::uint32_t &maxA);
+
+/**
+ * The products of an m x k by n x k tile: out[i*n + j] +=
+ * dot(a[i], bt[j]), accumulated mod 2^32 (any summation order gives
+ * the same wrapped sum). @p wide is grow-only scratch for one widened
+ * row of A. Never reads past the last byte of either operand.
+ */
+void tile_products(const std::int8_t *a, const std::int8_t *bt,
+                   std::int32_t *out, std::size_t m, std::size_t k,
+                   std::size_t n, std::vector<std::int16_t> &wide);
 
 /**
  * A strided view of an int8 operand span: the logical span is nRuns

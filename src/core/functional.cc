@@ -196,12 +196,14 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
     if (bits <= 8) {
         // The frozen [outFeatures][inFeatures] matrix already is the
         // transposed-B tile matmulTile wants, so the whole layer is
-        // one blocked GEMM over the LUT datapath.
+        // one blocked GEMM over the LUT datapath, tallied against the
+        // column features summed at plan compile.
         const std::size_t k = layer.inFeatures;
         const std::size_t n = layer.outFeatures;
         std::int32_t *accs = arena_.alloc<std::int32_t>(n);
         std::fill(accs, accs + n, 0);
-        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits);
+        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
+                       &fw.features);
         for (unsigned o = 0; o < layer.outFeatures; ++o)
             out[o] = static_cast<float>(accs[o] * fw.scale.scale
                                         * qi.scale)
@@ -418,13 +420,16 @@ FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
 
     if (bits <= 8) {
         // Quantize A row-major (per call — it is the activation side);
-        // the B^T tile is already frozen. One blocked GEMM tile.
+        // the B^T tile is already frozen, and a plan's tile carries its
+        // column features too (weights frozen on the fly have none, so
+        // the tile sums them per call). One blocked GEMM tile.
         std::vector<std::int8_t> qrows(m * k);
         dnn::quantize_span(qa, a.data(), m * k, qrows.data());
 
         std::vector<std::int32_t> accs(m * n, 0);
         bce.matmulTile(qrows.data(), wt.q8.data(), accs.data(), m, k, n,
-                       bits);
+                       bits,
+                       wt.features.sums.empty() ? nullptr : &wt.features);
         for (std::size_t i = 0; i < m; ++i)
             for (std::size_t j = 0; j < n; ++j)
                 out.at(i, j) =

@@ -250,6 +250,21 @@ NetworkPlan::tryEstimate(const dnn::Network &net, unsigned bits,
     return plan_shapes(net, bits, layers, in, outn, shape, out, &err);
 }
 
+namespace {
+
+/** Sum a frozen n x k matmul tile's column features once (<= 8 bits;
+ *  wider tiles run the scalar datapath), read-only afterwards and
+ *  shared by every executor that runs the plan. */
+void
+freeze_tile_features(dnn::QuantizedWeights &w, std::size_t n,
+                     std::size_t k)
+{
+    if (w.narrow())
+        bce::simd::column_features(w.q8.data(), n, k, w.features);
+}
+
+} // namespace
+
 NetworkPlan
 NetworkPlan::compile(const dnn::Network &net,
                      const NetworkWeights &weights, unsigned bits,
@@ -301,6 +316,8 @@ NetworkPlan::compile(const dnn::Network &net,
             // GEMM tile — freeze in place.
             pl.frozen.push_back(
                 dnn::freeze_weights(w.weights.data(), count, bits));
+            freeze_tile_features(pl.frozen.back(), layer.outFeatures,
+                                 layer.inFeatures);
             break;
           }
           case dnn::LayerKind::LstmCell: {
@@ -319,6 +336,8 @@ NetworkPlan::compile(const dnn::Network &net,
             // back. Freeze in place, no transpose.
             pl.frozen.push_back(
                 dnn::freeze_weights(w.weights.data(), count, bits));
+            freeze_tile_features(pl.frozen.back(),
+                                 std::size_t(4) * layer.lstmHidden, cols);
             break;
           }
           case dnn::LayerKind::Attention: {
@@ -330,10 +349,13 @@ NetworkPlan::compile(const dnn::Network &net,
             // Four independent d x d projections, each with its own
             // scale (matching the legacy per-projection qMatmul), each
             // frozen into the transposed tile.
-            for (unsigned b = 0; b < 4; ++b)
+            for (unsigned b = 0; b < 4; ++b) {
                 pl.frozen.push_back(dnn::freeze_weights_transposed(
                     w.weights.data() + b * dd, layer.dModel,
                     layer.dModel, bits));
+                freeze_tile_features(pl.frozen.back(), layer.dModel,
+                                     layer.dModel);
+            }
             break;
           }
           default:

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lut/datapath_table.hh"
 #include "lut/fixed_point.hh"
 #include "network.hh"
 #include "tensor.hh"
@@ -78,6 +79,14 @@ struct QuantizedWeights
     unsigned bits = 8;
     std::vector<std::int8_t> q8;    ///< bits <= 8 (int8 span kernels).
     std::vector<std::int32_t> q32;  ///< bits > 8 (scalar datapath).
+    /**
+     * Frozen matmul tiles only: q8 read as an n x k transposed-B tile,
+     * its class features summed down each column once at plan compile
+     * (core::NetworkPlan::compile), so every executor's factored tile
+     * tally reads them instead of reclassifying the weights per call.
+     * Empty for conv filter banks and for weights frozen on the fly.
+     */
+    lut::ColumnFeatures features;
 
     bool narrow() const { return bits <= 8; }
     std::size_t count() const { return narrow() ? q8.size() : q32.size(); }

@@ -512,6 +512,59 @@ class DatapathTable
 };
 
 /**
+ * One operand side of the factored matmul-tile tally. For a row-major
+ * int8 matrix of rows x cols (an A tile, or a transposed-B tile whose
+ * rows are output columns) it holds the four class features p, o, l, z
+ * of every entry summed down each column. Summing the bilinear fold
+ * over every (i, j) pair of an m x k by n x k tile first gives, per
+ * feature, sum_t FA_t * FB_t — so the whole tile's micro-op tally
+ * needs each operand classified once, not once per MAC pair.
+ *
+ * The sums are kept per block of block_rows rows, one byte each: every
+ * feature is <= 2, so a block's column sum is <= 126 and fits the
+ * non-negative int8 a byte-lane multiply-add takes on either side.
+ * The tally then folds every block of one side against every block of
+ * the other, 32 or 64 columns per instruction.
+ */
+struct ColumnFeatures
+{
+    /** Rows one block sums (2 * 63 = 126 <= INT8_MAX). */
+    static constexpr std::size_t block_rows = 63;
+
+    /** Column stride of the sums: cols rounded up to a whole 64-byte
+     *  vector, the padding columns 0. */
+    static std::size_t
+    stride(std::size_t cols)
+    {
+        return (cols + 63) / 64 * 64;
+    }
+
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    /** Feature f of column t of block b at
+     *  sums[(4 * b + f) * stride(cols) + t], features in the order
+     *  p, o, l, z. */
+    std::vector<std::uint8_t> sums;
+    /** Largest operand magnitude (unsigned, so abs(-128) reads 128). */
+    std::uint32_t maxMagnitude = 0;
+
+    /** Row blocks the sums hold. */
+    std::size_t
+    blocks() const
+    {
+        return (rows + block_rows - 1) / block_rows;
+    }
+
+    /** True when these sums describe a @p r x @p c matrix. */
+    bool
+    describes(std::size_t r, std::size_t c) const
+    {
+        return rows == r && cols == c
+               && sums.size() == blocks() * 4 * stride(c);
+    }
+};
+
+/**
  * Build the ROM-source table for @p bits by seeding from the operand
  * analyzer over the hardwired multiply ROM (the matmul-mode reference
  * path).

@@ -3,7 +3,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 namespace bfree::sim {
@@ -233,6 +235,32 @@ BenchJson::load(const std::string &path)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return parse(buffer.str());
+}
+
+bool
+parse_bench_flags(int argc, char **argv,
+                  std::initializer_list<BenchFlag> flags)
+{
+    for (int i = 1; i < argc; ++i) {
+        const BenchFlag *flag = nullptr;
+        for (const BenchFlag &f : flags)
+            if (!std::strcmp(argv[i], f.name))
+                flag = &f;
+        if (!flag) {
+            std::cerr << "unknown option '" << argv[i] << "'\n";
+            return false;
+        }
+        if (!flag->value) {
+            *flag->on = true;
+            continue;
+        }
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
+            std::cerr << argv[i] << " needs a value\n";
+            return false;
+        }
+        *flag->value = argv[++i];
+    }
+    return true;
 }
 
 } // namespace bfree::sim

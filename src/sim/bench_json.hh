@@ -10,6 +10,7 @@
 #ifndef BFREE_SIM_BENCH_JSON_HH
 #define BFREE_SIM_BENCH_JSON_HH
 
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,28 @@ class BenchJson
     Section *find(const std::string &section);
     const Section *find(const std::string &section) const;
 };
+
+/**
+ * One command-line flag a benchmark accepts: with @p value set it
+ * takes the next argument, otherwise it is a switch that sets @p on.
+ */
+struct BenchFlag
+{
+    const char *name;
+    std::string *value = nullptr;
+    bool *on = nullptr;
+};
+
+/**
+ * Parse a benchmark's command line against @p flags. An unknown flag,
+ * or a value flag with no (or an empty) value after it, is reported on
+ * stderr and makes this return false: the benchmark should then exit 1
+ * instead of running with the flag dropped. A bench that takes
+ * --threads lists it as a value flag (sim::threads_from_args reads the
+ * number).
+ */
+bool parse_bench_flags(int argc, char **argv,
+                       std::initializer_list<BenchFlag> flags);
 
 } // namespace bfree::sim
 

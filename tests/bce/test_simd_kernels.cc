@@ -93,6 +93,31 @@ pattern(std::size_t n, int seed, int limit = 127)
     return v;
 }
 
+/** A read-write page followed by a PROT_NONE page: operands copied to
+ *  end at end() fault on any read past their last byte. */
+struct Guarded
+{
+    std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    void *map = mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    bool guarded = map != MAP_FAILED
+                   && mprotect(static_cast<char *>(map) + page, page,
+                               PROT_NONE)
+                          == 0;
+
+    ~Guarded()
+    {
+        if (map != MAP_FAILED)
+            munmap(map, 2 * page);
+    }
+
+    std::int8_t *
+    end() const
+    {
+        return static_cast<std::int8_t *>(map) + page;
+    }
+};
+
 /**
  * Run @p body once per SIMD level this binary carries and this CPU can
  * execute, with the dispatcher pinned; always restores the
@@ -281,35 +306,11 @@ TEST(SimdKernels, SpanTailsNeverReadPastTheirEnd)
 {
     // Each operand span ends on the last byte of a page whose successor
     // is PROT_NONE: a tail load that strayed past len would fault.
-    const std::size_t page =
-        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    struct Guarded
-    {
-        std::size_t bytes;
-        void *map;
-        bool guarded = false;
-
-        explicit Guarded(std::size_t page)
-            : bytes(2 * page),
-              map(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))
-        {
-            guarded = map != MAP_FAILED
-                      && mprotect(static_cast<char *>(map) + page, page,
-                                  PROT_NONE)
-                             == 0;
-        }
-        ~Guarded()
-        {
-            if (map != MAP_FAILED)
-                munmap(map, bytes);
-        }
-    };
-    Guarded ga(page), gb(page);
+    Guarded ga, gb;
     ASSERT_TRUE(ga.guarded);
     ASSERT_TRUE(gb.guarded);
-    auto *const endA = static_cast<std::int8_t *>(ga.map) + page;
-    auto *const endB = static_cast<std::int8_t *>(gb.map) + page;
+    std::int8_t *const endA = ga.end();
+    std::int8_t *const endB = gb.end();
 
     for_each_runnable_level([&](sim::SimdLevel level) {
         for (const SpanCase &c : span_cases) {
@@ -560,62 +561,299 @@ TEST(SimdKernels, PoisonedEngineNeverLeaksIntoTheSharedTables)
 }
 
 // ---------------------------------------------------------------------
-// run_span contract details
+// Matmul tiles: the factored tally against the Legacy walk
 // ---------------------------------------------------------------------
 
-TEST(SimdKernels, RunSpanReportsFirstOutOfRangeIndex)
+namespace {
+
+/** Run one m x k by n x k tile at @p bits on a fresh matmul engine;
+ *  the outputs start non-zero so accumulation in place is covered. */
+std::vector<std::int32_t>
+run_tile(Engine &e, const std::int8_t *a, const std::int8_t *bt,
+         std::size_t m, std::size_t k, std::size_t n, unsigned bits,
+         const lut::ColumnFeatures *btFeatures = nullptr)
 {
-    Engine e(ExecTier::Tiered);
     e.bce.setMode(BceMode::Matmul);
-    // Build the shared 4-bit ROM table through a benign span first.
-    const std::int8_t ok[4] = {1, 2, 3, 4};
-    (void)e.bce.matmulDotSpan(ok, ok, 4, 4);
-
-    const lut::DatapathTable &t = lut::rom_datapath_table(4);
-    const std::int8_t a[6] = {1, 2, 3, 9, 10, 1};
-    const std::int8_t b[6] = {1, 1, 1, 1, 1, 1};
-    const bce::simd::SpanSums s = bce::simd::run_span(
-        t, a, b, 6, bce::simd::SpanSemantics::MatmulStrict);
-    EXPECT_FALSE(s.inRange);
-    EXPECT_EQ(3u, s.firstOutOfRange);
-
-    const bce::simd::SpanSums in = bce::simd::run_span(
-        t, a, b, 3, bce::simd::SpanSemantics::MatmulStrict);
-    EXPECT_TRUE(in.inRange);
-    EXPECT_EQ(6, in.acc); // 1 + 2 + 3
+    std::vector<std::int32_t> out(m * n);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = static_cast<std::int32_t>(i * 7) - 11;
+    e.bce.matmulTile(a, bt, out.data(), m, k, n, bits, btFeatures);
+    return out;
 }
 
-TEST(SimdKernels, StrictSpanReportsFirstOffenderAtEveryLevel)
+/** One tile shape against Legacy at every runnable level: outputs,
+ *  BceStats and per-category energy bitwise. */
+void
+expect_tile_exact(const std::vector<std::int8_t> &a,
+                  const std::vector<std::int8_t> &bt, std::size_t m,
+                  std::size_t k, std::size_t n, unsigned bits,
+                  const std::string &ctx)
 {
-    // One out-of-domain operand (+/-9, or an int8 extreme), in a or in
-    // b, at every index of spans that straddle both vector widths: the
-    // fold must stand down on the block holding it and the scalar walk
-    // must name exactly that index, whether it sits in a whole vector
-    // or in the ragged tail.
-    const lut::DatapathTable &t = lut::rom_datapath_table(4);
-    constexpr std::int8_t offenders[] = {9, -9, 127, -128};
+    Engine legacy(ExecTier::Legacy);
+    const std::vector<std::int32_t> want =
+        run_tile(legacy, a.data(), bt.data(), m, k, n, bits);
     for_each_runnable_level([&](sim::SimdLevel level) {
-        for (const std::size_t len :
-             {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1063}) {
-            const std::vector<std::int8_t> base =
-                pattern(len, static_cast<int>(len), 8);
-            for (std::size_t at = 0; at < len; ++at) {
-                for (const bool inA : {true, false}) {
-                    std::vector<std::int8_t> a = base, b = base;
-                    (inA ? a : b)[at] = offenders[at % 4];
-                    const bce::simd::SpanSums s = bce::simd::run_span(
-                        t, a.data(), b.data(), len,
-                        bce::simd::SpanSemantics::MatmulStrict);
-                    ASSERT_FALSE(s.inRange)
-                        << sim::simd_level_name(level) << " len " << len
-                        << " at " << at;
-                    ASSERT_EQ(at, s.firstOutOfRange)
-                        << sim::simd_level_name(level) << " len " << len
-                        << (inA ? " in a" : " in b");
-                }
-            }
-        }
+        const std::string where =
+            ctx + " " + sim::simd_level_name(level);
+        Engine twin(ExecTier::Legacy);
+        run_tile(twin, a.data(), bt.data(), m, k, n, bits);
+        Engine tiered(ExecTier::Tiered);
+        ASSERT_EQ(want,
+                  run_tile(tiered, a.data(), bt.data(), m, k, n, bits))
+            << where;
+        expect_engines_identical(twin, tiered, where);
     });
+}
+
+std::string
+shape_name(std::size_t m, std::size_t k, std::size_t n, unsigned bits)
+{
+    return std::to_string(m) + "x" + std::to_string(k) + "x"
+           + std::to_string(n) + "@" + std::to_string(bits);
+}
+
+} // namespace
+
+TEST(MatmulTile, ShapesExactAgainstLegacyAtEveryLevel)
+{
+    // Every row count of A, every remainder of the four-row BT groups,
+    // and reduction lengths straddling both vector widths plus the
+    // LSTM gate row, over the whole int8 range at 8 bits (pattern()'s
+    // +128 wraps to -128) and the whole analyzer domain [-8, 8] at
+    // 4 bits.
+    for (const unsigned bits : {8u, 4u}) {
+        const int limit = bits == 8 ? 128 : 8;
+        for (const std::size_t m : {1, 2, 3, 5})
+            for (const std::size_t k :
+                 {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1063})
+                for (const std::size_t n : {1, 3, 4, 5, 9}) {
+                    const int seed = static_cast<int>(m * 131 + k + n);
+                    expect_tile_exact(
+                        pattern(m * k, seed, limit),
+                        pattern(n * k, seed + 7, limit), m, k, n,
+                        bits, shape_name(m, k, n, bits));
+                    if (HasFatalFailure())
+                        return;
+                }
+    }
+}
+
+TEST(MatmulTile, ColumnSumSpillBoundariesExactAtEveryLevel)
+{
+    // Column features are summed per block of 63 rows: row counts on
+    // both sides of one, two and four block boundaries, on the A side
+    // and on the BT side.
+    for (const std::size_t rows :
+         {62, 63, 64, 126, 127, 128, 252, 254, 255, 256}) {
+        for (const unsigned bits : {8u, 4u}) {
+            const int limit = bits == 8 ? 128 : 8;
+            const int seed = static_cast<int>(rows);
+            expect_tile_exact(pattern(rows * 65, seed, limit),
+                              pattern(3 * 65, seed + 1, limit), rows,
+                              65, 3, bits, shape_name(rows, 65, 3, bits));
+            expect_tile_exact(pattern(2 * 65, seed + 2, limit),
+                              pattern(rows * 65, seed + 3, limit), 2,
+                              65, rows, bits,
+                              shape_name(2, 65, rows, bits));
+        }
+    }
+}
+
+TEST(MatmulTile, TallColumnSumsPast16BitsExactAtEveryLevel)
+{
+    // 0x11 has two odd nibbles (p = o = 2 per entry), so 33000 BT rows
+    // push every column's p and o totals past 65535, spread over 524
+    // row blocks — enough block pairs for the vector folds to widen
+    // their int32 lanes several times.
+    const std::size_t m = 1, k = 64, n = 33000;
+    std::vector<std::int8_t> bt(n * k, 0x11);
+    for (std::size_t i = 0; i < bt.size(); i += 5)
+        bt[i] = static_cast<std::int8_t>(-0x33);
+    const std::vector<std::int8_t> a = pattern(m * k, 3, 128);
+    lut::ColumnFeatures f;
+    bce::simd::column_features(bt.data(), n, k, f);
+    ASSERT_TRUE(f.describes(n, k));
+    std::uint64_t column0 = 0;
+    for (std::size_t b = 0; b < f.blocks(); ++b)
+        column0 += f.sums[4 * b * lut::ColumnFeatures::stride(k)];
+    EXPECT_GT(column0, 65535u);
+    expect_tile_exact(a, bt, m, k, n, 8, shape_name(m, k, n, 8));
+}
+
+TEST(MatmulTile, FrozenFeaturesMatchPerCallFeatures)
+{
+    // Column features computed once (as plan compile does) and handed
+    // in must book exactly what the per-call pass books, and a set
+    // describing another shape must be refused.
+    const std::size_t m = 3, k = 129, n = 9;
+    const std::vector<std::int8_t> a = pattern(m * k, 11, 128);
+    const std::vector<std::int8_t> bt = pattern(n * k, 12, 128);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        lut::ColumnFeatures frozen;
+        bce::simd::column_features(bt.data(), n, k, frozen);
+        EXPECT_EQ(n, frozen.rows);
+        EXPECT_EQ(128u, frozen.maxMagnitude);
+        Engine perCall(ExecTier::Tiered), given(ExecTier::Tiered);
+        EXPECT_EQ(run_tile(perCall, a.data(), bt.data(), m, k, n, 8),
+                  run_tile(given, a.data(), bt.data(), m, k, n, 8,
+                           &frozen))
+            << sim::simd_level_name(level);
+        expect_engines_identical(perCall, given,
+                                 sim::simd_level_name(level));
+    });
+    lut::ColumnFeatures other;
+    bce::simd::column_features(bt.data(), n - 1, k, other);
+    EXPECT_DEATH(
+        {
+            Engine e(ExecTier::Tiered);
+            run_tile(e, a.data(), bt.data(), m, k, n, 8, &other);
+        },
+        "BT features describe 8 x 129, tile is 9 x 129");
+}
+
+TEST(MatmulTile, TileTailsNeverReadPastTheirEnd)
+{
+    // A and BT each end on the last byte of a page whose successor is
+    // PROT_NONE: a tail load (or a column pass) that strayed past the
+    // last row would fault.
+    const std::size_t m = 2, n = 5;
+    Guarded ga, gb;
+    ASSERT_TRUE(ga.guarded);
+    ASSERT_TRUE(gb.guarded);
+    std::int8_t *const endA = ga.end();
+    std::int8_t *const endB = gb.end();
+
+    for (const unsigned bits : {8u, 4u}) {
+        const int limit = bits == 8 ? 128 : 8;
+        for (std::size_t k = 1; k <= 130; ++k) {
+            const std::vector<std::int8_t> a =
+                pattern(m * k, static_cast<int>(k), limit);
+            const std::vector<std::int8_t> bt =
+                pattern(n * k, static_cast<int>(k) + 70, limit);
+            std::int8_t *const tileA = endA - a.size();
+            std::int8_t *const tileB = endB - bt.size();
+            std::copy(a.begin(), a.end(), tileA);
+            std::copy(bt.begin(), bt.end(), tileB);
+            Engine legacy(ExecTier::Legacy);
+            const std::vector<std::int32_t> want =
+                run_tile(legacy, a.data(), bt.data(), m, k, n, bits);
+            for_each_runnable_level([&](sim::SimdLevel level) {
+                Engine tiered(ExecTier::Tiered);
+                ASSERT_EQ(want,
+                          run_tile(tiered, tileA, tileB, m, k, n, bits))
+                    << sim::simd_level_name(level) << " "
+                    << shape_name(m, k, n, bits);
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Strict 4-bit tile domain: the legacy panic must survive the factoring
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t strict_m = 3, strict_k = 65, strict_n = 5;
+
+/** One planted out-of-domain operand: in A at (row, t) or in BT at
+ *  (row, t). */
+struct Offender
+{
+    bool inA;
+    std::size_t row, t;
+    std::int8_t value;
+};
+
+/** The 4-bit tile with @p plants applied, in-domain elsewhere. */
+std::pair<std::vector<std::int8_t>, std::vector<std::int8_t>>
+strict_tile(std::initializer_list<Offender> plants)
+{
+    auto a = pattern(strict_m * strict_k, 5, 8);
+    auto bt = pattern(strict_n * strict_k, 6, 8);
+    for (const Offender &o : plants)
+        (o.inA ? a : bt)[o.row * strict_k + o.t] = o.value;
+    return {a, bt};
+}
+
+/** The panic text the Legacy walk raises: the analyzer's message for
+ *  the first pair in (i, j, t) order with an operand outside [-8, 8]. */
+std::string
+legacy_panic_text(const std::vector<std::int8_t> &a,
+                  const std::vector<std::int8_t> &bt)
+{
+    const auto outside = [](int v) { return v < -8 || v > 8; };
+    for (std::size_t i = 0; i < strict_m; ++i)
+        for (std::size_t j = 0; j < strict_n; ++j)
+            for (std::size_t t = 0; t < strict_k; ++t) {
+                const int x = a[i * strict_k + t];
+                const int y = bt[j * strict_k + t];
+                if (outside(x) || outside(y))
+                    return "exceeds 4-bit range: " + std::to_string(x)
+                           + " x " + std::to_string(y) + " \\(";
+            }
+    return "";
+}
+
+/** Run the planted tile at @p tier, pinned to @p level: must die. */
+void
+run_strict_tile(ExecTier tier, sim::SimdLevel level,
+                const std::vector<std::int8_t> &a,
+                const std::vector<std::int8_t> &bt)
+{
+    sim::force_simd_level(level);
+    Engine e(tier);
+    run_tile(e, a.data(), bt.data(), strict_m, strict_k, strict_n, 4);
+}
+
+} // namespace
+
+TEST(MatmulTileDeath, StrictTileReportsFirstOffenderAtEveryLevel)
+{
+    // One offender (+/-9 or an int8 extreme) in A or in BT at the
+    // first element, at interior positions on either side of a vector
+    // step, and at the last element; then two offenders, where BT's is
+    // met first in (i, j, t) order although A's has the smaller flat
+    // index, and where A's row-0 offender beats a BT one. Every level
+    // must raise the Legacy walk's panic text.
+    const std::initializer_list<Offender> cases[] = {
+        {{true, 0, 0, 9}},
+        {{true, 1, 33, -9}},
+        {{true, 2, 31, 127}},
+        {{true, strict_m - 1, strict_k - 1, -128}},
+        {{false, 0, 0, -9}},
+        {{false, 3, 40, 9}},
+        {{false, 2, 63, -128}},
+        {{false, strict_n - 1, strict_k - 1, 127}},
+        {{true, 1, 2, 9}, {false, 2, 0, -9}},
+        {{true, 0, 64, 127}, {false, 4, 1, 9}},
+    };
+    for (const auto &plants : cases) {
+        const auto [a, bt] = strict_tile(plants);
+        const std::string text = legacy_panic_text(a, bt);
+        ASSERT_FALSE(text.empty());
+        EXPECT_DEATH(run_strict_tile(ExecTier::Legacy,
+                                     sim::SimdLevel::Scalar, a, bt),
+                     text);
+        for (const sim::SimdLevel level :
+             {sim::SimdLevel::Scalar, sim::SimdLevel::Avx2,
+              sim::SimdLevel::Avx512}) {
+            if (!sim::simd_level_compiled(level)
+                || !sim::simd_level_supported(level))
+                continue;
+            EXPECT_DEATH(run_strict_tile(ExecTier::Tiered, level, a, bt),
+                         text)
+                << sim::simd_level_name(level);
+        }
+    }
+}
+
+TEST(MatmulTile, FourBitDomainEndpointsAreAccepted)
+{
+    // +/-8 is the analyzer's 4-bit domain edge, inside, not outside.
+    const auto [a, bt] = strict_tile({{true, 0, 0, 8}, {false, 1, 5, -8}});
+    expect_tile_exact(a, bt, strict_m, strict_k, strict_n, 4,
+                      "endpoints");
 }
 
 TEST(SimdKernels, ZeroLengthSpanIsANoOp)
