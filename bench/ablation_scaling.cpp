@@ -13,8 +13,9 @@
  * default: hardware concurrency); results are joined in job order, so
  * the output is bit-identical for any thread count. Each slice-count
  * point is additionally cross-validated through the event-driven
- * detailed sub-bank model, which gives the sweep real per-job work and
- * ties the analytic numbers back to the cycle-accurate datapath.
+ * detailed model of one sub-bank chain (a one-column systolic grid),
+ * which gives the sweep real per-job work and ties the analytic
+ * numbers back to the cycle-accurate datapath.
  */
 
 #include <cstdio>
@@ -22,7 +23,7 @@
 
 #include "core/bfree.hh"
 #include "core/report.hh"
-#include "map/detailed_sim.hh"
+#include "map/detailed_slice_sim.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
 
@@ -30,12 +31,22 @@ namespace {
 
 using namespace bfree;
 
-/** Deterministic detailed-chain job for one sweep point. */
-map::DetailedJob
-make_detailed_job(unsigned nodes, unsigned slice_len, unsigned waves,
-                  unsigned bits, std::uint64_t seed)
+/** One self-contained detailed chain run (weights + input waves). */
+struct ChainJob
 {
-    map::DetailedJob job;
+    unsigned nodes = 0;
+    unsigned sliceLen = 0;
+    unsigned bits = 0;
+    std::vector<std::vector<std::int8_t>> weights; ///< [nodes][sliceLen]
+    std::vector<std::vector<std::int8_t>> inputs;  ///< [waves][nodes*sliceLen]
+};
+
+/** Deterministic detailed-chain job for one sweep point. */
+ChainJob
+make_chain_job(unsigned nodes, unsigned slice_len, unsigned waves,
+               unsigned bits, std::uint64_t seed)
+{
+    ChainJob job;
     job.nodes = nodes;
     job.sliceLen = slice_len;
     job.bits = bits;
@@ -59,7 +70,7 @@ make_detailed_job(unsigned nodes, unsigned slice_len, unsigned waves,
 
 /** Reference dot product of wave @p wave against the job's weights. */
 std::int32_t
-reference_dot(const map::DetailedJob &job, unsigned wave)
+reference_dot(const ChainJob &job, unsigned wave)
 {
     std::int32_t sum = 0;
     for (unsigned n = 0; n < job.nodes; ++n) {
@@ -128,29 +139,42 @@ main(int argc, char **argv)
     }
 
     // Cross-validate each slice point through the event-driven model:
-    // one sub-bank chain per (point, precision), exact LUT-datapath
-    // integers. These jobs carry the sweep's real CPU work, so this is
-    // also where extra worker threads pay off.
+    // one sub-bank chain (a one-column grid) per (point, precision),
+    // exact LUT-datapath integers. These jobs carry the sweep's real
+    // CPU work, so this is also where extra worker threads pay off.
+    // Each job runs a private grid and writes only its own result slot.
     std::printf("\nDetailed cross-validation (8-node chains)\n\n");
     std::printf("%7s %6s %10s %8s %10s %8s\n", "point", "bits",
                 "slice_len", "waves", "cycles", "exact");
-    std::vector<map::DetailedJob> detailed;
+    std::vector<ChainJob> detailed;
     const unsigned waves = 96;
     const unsigned slice_len = 128;
     for (std::size_t i = 0; i < slice_points.size(); ++i) {
         for (unsigned bits : {8u, 4u}) {
-            detailed.push_back(make_detailed_job(
+            detailed.push_back(make_chain_job(
                 8, slice_len, waves, bits,
                 0xab1a7e00ULL + 2 * slice_points[i] + bits));
         }
     }
-    const std::vector<map::DetailedRunResult> runs = map::run_detailed_batch(
-        acc.geometry(), acc.techParams(), detailed, threads);
+    std::vector<map::DetailedGridResult> runs(detailed.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < detailed.size(); ++i) {
+        tasks.push_back([&acc, &detailed, &runs, i] {
+            const ChainJob &job = detailed[i];
+            map::DetailedSliceSim grid(acc.geometry(), acc.techParams(),
+                                       job.nodes, 1, job.sliceLen,
+                                       job.bits);
+            grid.loadWeights({job.weights});
+            runs[i] = grid.run(job.inputs);
+        });
+    }
+    sim::ThreadPool(threads).run(std::move(tasks));
     bool all_exact = true;
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        bool exact = runs[i].outputs.size() == waves;
+        const std::vector<std::int32_t> &out = runs[i].outputs[0];
+        bool exact = out.size() == waves;
         for (unsigned w = 0; exact && w < waves; ++w)
-            exact = runs[i].outputs[w] == reference_dot(detailed[i], w);
+            exact = out[w] == reference_dot(detailed[i], w);
         all_exact = all_exact && exact;
         std::printf("%7zu %6u %10u %8u %10llu %8s\n", i / 2,
                     detailed[i].bits, slice_len, waves,

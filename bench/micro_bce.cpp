@@ -2,8 +2,9 @@
  * @file
  * Micro-benchmarks (google-benchmark) of the functional LUT datapath:
  * host-side throughput of the operand analyzer, BCE multiply paths,
- * LUT division, PWL evaluation and the detailed chain simulator.
- * These measure the simulator itself, not the modelled hardware.
+ * LUT division, PWL evaluation and the detailed chain simulator (a
+ * one-column systolic grid). These measure the simulator itself, not
+ * the modelled hardware.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +15,7 @@
 #include "lut/division.hh"
 #include "lut/operand_analyzer.hh"
 #include "lut/pwl.hh"
-#include "map/detailed_sim.hh"
+#include "map/detailed_slice_sim.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -132,9 +133,10 @@ BM_DetailedChain(benchmark::State &state)
     tech::TechParams tp;
     sim::Rng rng(5);
 
-    std::vector<std::vector<std::int8_t>> weights(
-        nodes, std::vector<std::int8_t>(8));
-    for (auto &slice : weights)
+    std::vector<std::vector<std::vector<std::int8_t>>> weights(
+        1, std::vector<std::vector<std::int8_t>>(
+               nodes, std::vector<std::int8_t>(8)));
+    for (auto &slice : weights[0])
         for (auto &w : slice)
             w = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
     std::vector<std::vector<std::int8_t>> inputs(
@@ -144,7 +146,7 @@ BM_DetailedChain(benchmark::State &state)
             v = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
 
     for (auto _ : state) {
-        map::DetailedSubBankSim sim(geom, tp, nodes, 8, 8);
+        map::DetailedSliceSim sim(geom, tp, nodes, 1, 8, 8);
         sim.loadWeights(weights);
         benchmark::DoNotOptimize(sim.run(inputs));
     }

@@ -273,13 +273,15 @@ Bce::dotProduct(std::size_t weight_offset, const std::int8_t *inputs,
     if (_mode != BceMode::Conv)
         bfree_panic("dotProduct requires conv mode");
 
-    const unsigned bytes_per_weight = bits <= 8 ? 1 : 2;
-    std::vector<std::uint8_t> weights(len * bytes_per_weight);
-    sa->read(weight_offset, weights.data(), weights.size());
+    const std::size_t bytes = len * (bits <= 8 ? 1 : 2);
+    if (weightBuf_.size() < bytes)
+        weightBuf_.resize(bytes);
+    sa->read(weight_offset, weightBuf_.data(), bytes);
+    const std::uint8_t *weights = weightBuf_.data();
 
-    if (bytes_per_weight == 1)
+    if (bits <= 8)
         return dotProductSpan(
-            reinterpret_cast<const std::int8_t *>(weights.data()), inputs,
+            reinterpret_cast<const std::int8_t *>(weights), inputs,
             len, bits);
 
     std::int64_t acc = 0;

@@ -332,6 +332,9 @@ class Bce
      *  caller has none, and one widened A row. */
     lut::ColumnFeatures tileB_;
     std::vector<std::int16_t> wideA_;
+    /** Grow-only conv scratch: the weights dotProduct reads out of the
+     *  sub-array. */
+    std::vector<std::uint8_t> weightBuf_;
     std::uint64_t pristineGeneration_ = 0; ///< LUT generation at image load.
     std::uint64_t convSeeds_ = 0; ///< Private conv-table (re)seed count.
     bool multLutLoaded = false;

@@ -32,8 +32,8 @@
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one x86
  * binary carries scalar, AVX2 and AVX-512 paths (any other CPU runs the
- * scalar reference), and CI pins each via BFREE_FORCE_SCALAR /
- * BFREE_FORCE_ISA to differentially verify them all on one host.
+ * scalar reference), and CI pins each via BFREE_FORCE_ISA to
+ * differentially verify them all on one host.
  */
 
 #ifndef BFREE_BCE_SIMD_KERNELS_HH

@@ -7,8 +7,10 @@
  * chain per filter) and input channels across the rows within each
  * column. Input waves stream horizontally: the slice of wave w for
  * row r enters column 0 and hops to column c+1 every router cycle.
- * Within a column, partial products reduce vertically exactly like
- * DetailedSubBankSim. Column c therefore finishes wave w at
+ * Within a column, partial products reduce vertically down the
+ * sub-bank chain of Fig. 8 (rows nodes joined by rows - 1 routers; a
+ * one-column grid is exactly that chain). Column c therefore finishes
+ * wave w at
  *
  *     (w + 1) * cps + c * hop + (rows - 1) * hop
  *
@@ -25,8 +27,7 @@
  * inter-wave gap is the same cps cycles and every quantity is a
  * multiple of the clock period, so flit arrival times are recovered
  * arithmetically from (first_arrival, cadence) with zero rounding. The
- * router charges one hop per flit, so flit counts and energy are those
- * of one send per flit.
+ * router charges one hop per flit.
  *
  * The streaming API (beginStreaming / injectAllWavesNow /
  * finishStreaming) lets a caller drive the grid from an external event

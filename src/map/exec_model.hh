@@ -8,8 +8,8 @@
  * and reduce partial sums across each sub-bank.
  *
  * The model is analytic (closed form per layer) and is cross-validated
- * against the event-driven detailed model in detailed_sim.hh on small
- * kernels; full networks (4.7-39.5 G MACs) only run analytically, the
+ * against the event-driven detailed model in detailed_slice_sim.hh on
+ * small kernels; full networks (4.7-39.5 G MACs) only run analytically, the
  * same altitude the paper's simulator operates at.
  *
  * Phase accounting per layer:

@@ -1,5 +1,6 @@
 #include "router.hh"
 
+#include <memory>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -10,19 +11,8 @@ Router::Router(sim::EventQueue &queue, std::string name,
                const sim::ClockDomain &domain,
                const tech::TechParams &tech, mem::EnergyAccount &energy)
     : sim::ClockedObject(queue, std::move(name), domain), tech(tech),
-      energy(&energy),
-      deliverEvent([this] { deliver(); }, this->name() + ".deliver")
+      energy(&energy)
 {}
-
-void
-Router::send(const Flit &flit)
-{
-    energy->addPj(mem::EnergyCategory::Router, tech.routerHopPj);
-    ++numFlits;
-    inFlight.push_back(flit);
-    if (!deliverEvent.scheduled())
-        scheduleClocked(deliverEvent, sim::Cycles(tech.routerHopCycles));
-}
 
 void
 Router::sendBurst(std::vector<Flit> flits, sim::Cycles cadence)
@@ -32,9 +22,8 @@ Router::sendBurst(std::vector<Flit> flits, sim::Cycles cadence)
     if (!burstDownstream)
         bfree_panic("router ", name(), " has no downstream burst sink");
 
-    // Charge hop energy per flit (not one n*pj add): bitwise identical
-    // to n scalar send() calls, so burst and per-flit runs agree on
-    // every energy stat to the last ulp.
+    // Charge hop energy per flit (not one n*pj add), so the joules are
+    // bitwise those of n single-hop charges in flit order.
     for (std::size_t i = 0; i < flits.size(); ++i)
         energy->addPj(mem::EnergyCategory::Router, tech.routerHopPj);
     numFlits += flits.size();
@@ -49,33 +38,6 @@ Router::sendBurst(std::vector<Flit> flits, sim::Cycles cadence)
         burstDownstream(train->data(), train->size(), arrival,
                         cadence_ticks);
     });
-}
-
-void
-Router::deliver()
-{
-    if (inFlight.empty())
-        bfree_panic("router ", name(), " delivery with no flit in flight");
-    if (!downstream)
-        bfree_panic("router ", name(), " has no downstream sink");
-
-    const Flit flit = inFlight.front();
-    inFlight.erase(inFlight.begin());
-    downstream(flit);
-
-    if (!inFlight.empty())
-        scheduleClocked(deliverEvent, sim::Cycles(tech.routerHopCycles));
-}
-
-std::uint64_t
-systolic_chain_cycles(unsigned stages, std::uint64_t steps,
-                      unsigned hop_cycles)
-{
-    if (stages == 0)
-        return 0;
-    // The first wave reaches the last stage after (stages - 1) hops;
-    // one result then drains per step.
-    return static_cast<std::uint64_t>(stages - 1) * hop_cycles + steps;
 }
 
 } // namespace bfree::noc

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,14 +33,13 @@ struct Flit
 };
 
 /**
- * An event-driven unidirectional router: accepts a flit, delivers it to
- * the downstream sink after routerHopCycles, charging hop energy.
+ * An event-driven unidirectional router: accepts a flit train and
+ * delivers it to the downstream sink after routerHopCycles, charging
+ * hop energy per flit.
  */
 class Router : public sim::ClockedObject
 {
   public:
-    using Sink = std::function<void(const Flit &)>;
-
     /**
      * Downstream consumer of a whole flit train. Receives the flits,
      * the arrival tick of the FIRST flit (= send tick + hop latency)
@@ -57,55 +55,32 @@ class Router : public sim::ClockedObject
            const sim::ClockDomain &domain, const tech::TechParams &tech,
            mem::EnergyAccount &energy);
 
-    /** Connect the downstream consumer. */
-    void connect(Sink sink) { downstream = std::move(sink); }
-
     /** Connect the downstream burst consumer. */
     void connectBurst(BurstSink sink)
     { burstDownstream = std::move(sink); }
 
-    /** Inject a flit; it arrives downstream after the hop latency. */
-    void send(const Flit &flit);
-
     /**
      * Inject a whole flit train spaced @p cadence cycles apart, costing
      * one scheduled event per hop instead of one per flit. Energy and
-     * flit counts are identical to sending each flit individually; only
-     * the event count shrinks. The burst sink fires at the first flit's
-     * arrival with the exact (first_arrival, cadence) timing metadata.
+     * flit counts are those of one hop per flit. The burst sink fires
+     * at the first flit's arrival with the exact (first_arrival,
+     * cadence) timing metadata.
      */
     void sendBurst(std::vector<Flit> flits, sim::Cycles cadence);
 
-    /** Flits forwarded so far (scalar and burst combined). */
+    /** Flits forwarded so far. */
     std::uint64_t flitsForwarded() const { return numFlits; }
 
     /** Bursts forwarded so far. */
     std::uint64_t burstsForwarded() const { return numBursts; }
 
   private:
-    void deliver();
-
     tech::TechParams tech;
     mem::EnergyAccount *energy;
-    Sink downstream;
     BurstSink burstDownstream;
     std::uint64_t numFlits = 0;
     std::uint64_t numBursts = 0;
-
-    // One outstanding flit per hop-latency window is enough for the
-    // systolic traffic pattern (one flit per cycle per link); a short
-    // FIFO keeps the model honest if a sender bursts.
-    std::vector<Flit> inFlight;
-    sim::EventFunctionWrapper deliverEvent;
 };
-
-/**
- * Closed-form timing of a K-stage systolic chain processing @p steps
- * waves: fill (K-1 hops) + steps, in cycles. Matches the event-driven
- * model; tests assert the equality.
- */
-std::uint64_t systolic_chain_cycles(unsigned stages, std::uint64_t steps,
-                                    unsigned hop_cycles);
 
 } // namespace bfree::noc
 

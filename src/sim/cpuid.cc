@@ -55,11 +55,6 @@ require_runnable(SimdLevel level, const char *origin)
 SimdLevel
 resolve_from_environment()
 {
-    const char *scalar = std::getenv("BFREE_FORCE_SCALAR");
-    if (scalar != nullptr && scalar[0] != '\0'
-        && std::strcmp(scalar, "0") != 0)
-        return SimdLevel::Scalar;
-
     const char *isa = std::getenv("BFREE_FORCE_ISA");
     if (isa != nullptr && isa[0] != '\0') {
         const SimdLevel level = parse_level(isa);

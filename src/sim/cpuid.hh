@@ -11,12 +11,11 @@
  *
  *  - by default, the widest level both compiled in AND reported by the
  *    CPU at runtime;
- *  - `BFREE_FORCE_SCALAR=1` in the environment forces the scalar
- *    fallback (CI uses this to differentially verify every SIMD
- *    variant against the scalar tier on one host);
- *  - `BFREE_FORCE_ISA=scalar|avx2|avx512` pins one specific level.
- *    Requesting a level the binary lacks or the CPU cannot execute is
- *    a fatal configuration error — it fails loudly instead of silently
+ *  - `BFREE_FORCE_ISA=scalar|avx2|avx512` pins one specific level
+ *    (CI uses `scalar` to differentially verify every SIMD variant
+ *    against the scalar reference on one host). Requesting a level
+ *    the binary lacks or the CPU cannot execute is a fatal
+ *    configuration error — it fails loudly instead of silently
  *    degrading, so a CI matrix knows it exercised what it asked for.
  *
  * Tests may also pin the level programmatically (force_simd_level) to
@@ -34,7 +33,7 @@ namespace bfree::sim {
  *  to retired 128-bit levels. */
 enum class SimdLevel
 {
-    Scalar = 0, ///< Portable fallback; also the BFREE_FORCE_SCALAR target.
+    Scalar = 0, ///< Portable fallback and bit-exact reference.
     Avx2 = 3,   ///< 256-bit x86 with hardware gather.
     Avx512 = 4, ///< 512-bit x86 (requires the F+BW+VL feature trio).
 };
@@ -50,9 +49,9 @@ bool simd_level_supported(SimdLevel level);
 
 /**
  * The level the dispatchers use: widest compiled+supported level,
- * after applying the BFREE_FORCE_SCALAR / BFREE_FORCE_ISA environment
- * overrides. Resolved once and cached; a malformed or unsatisfiable
- * override is fatal at first use.
+ * after applying the BFREE_FORCE_ISA environment override. Resolved
+ * once and cached; a malformed or unsatisfiable override is fatal at
+ * first use.
  */
 SimdLevel active_simd_level();
 

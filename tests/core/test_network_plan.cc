@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "bce/bce.hh"
 #include "core/functional.hh"
 #include "dnn/model_zoo.hh"
 
@@ -390,6 +391,47 @@ TEST(NetworkPlan, SteadyStateMakesZeroHeapAllocations)
     // to the byte, never beyond.
     EXPECT_EQ(exec.arena().capacity(), plan.stats().arenaBytes);
     EXPECT_EQ(exec.arena().highWater(), plan.stats().arenaBytes);
+}
+
+TEST(BceDotProduct, WarmCallsMakeZeroHeapAllocations)
+{
+    // dotProduct is the per-node call of every detailed-grid wave: once
+    // its weight scratch has grown, reading the weights out of the
+    // sub-array must not touch the heap, at 8 or 16 bits, in either tier.
+    bfree::tech::CacheGeometry geom;
+    bfree::tech::TechParams tech;
+    bfree::mem::EnergyAccount energy;
+    bfree::mem::Subarray sa(geom, tech, energy);
+    bfree::bce::Bce bce(sa, tech, energy);
+    bce.loadMultLutImage();
+    bce.setMode(bfree::bce::BceMode::Conv);
+
+    const std::size_t len = 64;
+    std::vector<std::uint8_t> weights(2 * len);
+    std::vector<std::int8_t> inputs(len);
+    bfree::sim::Rng rng(9);
+    for (auto &w : weights)
+        w = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    for (auto &x : inputs)
+        x = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
+    sa.write(0, weights.data(), weights.size());
+
+    for (const auto tier : {bfree::bce::ExecTier::Legacy,
+                            bfree::bce::ExecTier::Tiered}) {
+        bce.setTier(tier);
+        for (const unsigned bits : {8u, 16u}) {
+            // The warm-up call grows the scratch and seeds the tables.
+            (void)bce.dotProduct(0, inputs.data(), len, bits);
+            const std::uint64_t before =
+                g_heap_allocs.load(std::memory_order_relaxed);
+            for (int i = 0; i < 10; ++i)
+                (void)bce.dotProduct(0, inputs.data(), len, bits);
+            EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed)
+                          - before,
+                      0u)
+                << bits << "-bit, tier " << static_cast<int>(tier);
+        }
+    }
 }
 
 TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)

@@ -81,25 +81,6 @@ TEST(CpuidDeath, ForcingAnUncompiledLevelIsFatal)
                      "not built with kernels");
 }
 
-TEST(Cpuid, ForceScalarEnvironmentWinsOverIsaRequest)
-{
-    ASSERT_EQ(0, setenv("BFREE_FORCE_SCALAR", "1", 1));
-    ASSERT_EQ(0, setenv("BFREE_FORCE_ISA",
-                        sim::simd_level_name(sim::active_simd_level()),
-                        1));
-    sim::reset_simd_level();
-    EXPECT_EQ(sim::SimdLevel::Scalar, sim::active_simd_level());
-
-    // "0" and empty both mean "not forced".
-    ASSERT_EQ(0, setenv("BFREE_FORCE_SCALAR", "0", 1));
-    ASSERT_EQ(0, unsetenv("BFREE_FORCE_ISA"));
-    sim::reset_simd_level();
-    const sim::SimdLevel level = sim::active_simd_level();
-    EXPECT_TRUE(sim::simd_level_supported(level));
-    ASSERT_EQ(0, unsetenv("BFREE_FORCE_SCALAR"));
-    sim::reset_simd_level();
-}
-
 TEST(CpuidDeath, Avx512IsRunnableOrRejected)
 {
     // This must hold on every host, with or without AVX-512: either

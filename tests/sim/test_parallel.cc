@@ -17,7 +17,7 @@
 #include <thread>
 
 #include "dnn/model_zoo.hh"
-#include "map/detailed_sim.hh"
+#include "map/detailed_slice_sim.hh"
 #include "map/exec_model.hh"
 #include "sim/parallel.hh"
 #include "sim/random.hh"
@@ -270,44 +270,58 @@ TEST(ExecSweep, ResultsBitIdenticalAcrossThreadCounts)
 
 TEST(DetailedBatch, MatchesSingleRunsAndFormula)
 {
+    // Independent one-column grids, each building its own Subarray/Bce
+    // nodes, run concurrently on the pool and must match sequential
+    // runs.
     const tech::CacheGeometry geom;
     const tech::TechParams tech;
 
-    std::vector<map::DetailedJob> jobs;
+    struct Job
+    {
+        unsigned nodes;
+        std::vector<std::vector<std::vector<std::int8_t>>> weights;
+        std::vector<std::vector<std::int8_t>> inputs;
+    };
+    const unsigned slice_len = 8;
+    std::vector<Job> jobs;
     for (unsigned j = 0; j < 3; ++j) {
-        map::DetailedJob job;
+        Job job;
         job.nodes = 2 + j;
-        job.sliceLen = 8;
-        job.bits = 8;
         Rng rng(42 + j);
-        job.weights.assign(job.nodes,
-                           std::vector<std::int8_t>(job.sliceLen));
-        for (auto &s : job.weights)
+        job.weights.assign(1, std::vector<std::vector<std::int8_t>>(
+                                  job.nodes,
+                                  std::vector<std::int8_t>(slice_len)));
+        for (auto &s : job.weights[0])
             for (auto &w : s)
                 w = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
         job.inputs.assign(
             5, std::vector<std::int8_t>(std::size_t(job.nodes)
-                                        * job.sliceLen));
+                                        * slice_len));
         for (auto &wave : job.inputs)
             for (auto &x : wave)
                 x = static_cast<std::int8_t>(rng.uniformInt(-128, 127));
         jobs.push_back(std::move(job));
     }
 
-    const auto batch =
-        map::run_detailed_batch(geom, tech, jobs, 3);
-    ASSERT_EQ(batch.size(), jobs.size());
+    auto run_one = [&](const Job &job) {
+        map::DetailedSliceSim grid(geom, tech, job.nodes, 1, slice_len, 8);
+        grid.loadWeights(job.weights);
+        return grid.run(job.inputs);
+    };
+    std::vector<map::DetailedGridResult> batch(jobs.size());
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        tasks.push_back([&, j] { batch[j] = run_one(jobs[j]); });
+    ThreadPool(3).run(std::move(tasks));
+
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        map::DetailedSubBankSim single(geom, tech, jobs[j].nodes,
-                                       jobs[j].sliceLen, jobs[j].bits);
-        single.loadWeights(jobs[j].weights);
-        const auto expected = single.run(jobs[j].inputs);
+        const map::DetailedGridResult expected = run_one(jobs[j]);
         EXPECT_EQ(batch[j].outputs, expected.outputs) << j;
         EXPECT_EQ(batch[j].cycles, expected.cycles) << j;
         EXPECT_EQ(batch[j].cycles,
-                  map::detailed_chain_formula(jobs[j].nodes, 5,
-                                              single.cyclesPerStep(),
-                                              tech.routerHopCycles))
+                  map::detailed_grid_formula(jobs[j].nodes, 1, 5,
+                                             /*cps=*/slice_len * 2,
+                                             tech.routerHopCycles))
             << j;
     }
 }
