@@ -22,7 +22,8 @@
  *
  * With --dump-stats the bench instead prints the deterministic batch
  * statistics block (no wall-clock anywhere in the output) — the CI
- * determinism job byte-compares this at --threads 1 vs 8.
+ * determinism job byte-compares this at --threads 1 vs 8. The dump
+ * ends with a 4-bit LSTM block (packed gate tile, PWL spans).
  */
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -95,17 +97,96 @@ make_cnn()
     return net;
 }
 
-/** Bit-pattern checksum of a float tensor (exact, order-dependent). */
+/** Bit-pattern checksum of @p n floats (exact, order-dependent). */
 std::uint64_t
-checksum(const dnn::FloatTensor &t)
+checksum(const float *v, std::size_t n)
 {
     std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         std::uint32_t bits;
-        std::memcpy(&bits, &t[i], sizeof bits);
+        std::memcpy(&bits, &v[i], sizeof bits);
         sum = sum * 1099511628211ull + bits;
     }
     return sum;
+}
+
+std::uint64_t
+checksum(const dnn::FloatTensor &t)
+{
+    return checksum(t.data(), t.size());
+}
+
+/**
+ * The 4-bit LSTM block of --dump-stats: independent sequences of an
+ * LSTM cell whose gate row (39 + 128 = 167 weights) spans a full and a
+ * half packed group, one executor per sequence on the pool, their
+ * final h/c checksums and stats combined in sequence order. Covers
+ * the packed 4-bit tile kernel and the PWL spans; identical at any
+ * thread count and under every ISA.
+ */
+void
+dump_lstm_block(unsigned threads)
+{
+    constexpr unsigned in = 39, hid = 128, sequences = 4, steps = 6;
+    dnn::Network net("lstm-39x128", {in, 1, 1});
+    net.add(dnn::make_lstm_cell("cell", in, hid));
+    sim::Rng rng(17);
+    const core::NetworkWeights weights = core::random_weights(net, rng);
+    const core::NetworkPlan plan =
+        core::NetworkPlan::compile(net, weights, 4);
+    std::vector<std::vector<float>> xs(sequences * steps,
+                                       std::vector<float>(in));
+    for (std::vector<float> &x : xs)
+        for (float &v : x)
+            v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+
+    std::vector<dnn::LstmState> last(sequences);
+    std::vector<bce::BceStats> stats(sequences);
+    std::vector<double> energy(sequences);
+    std::vector<std::function<void()>> tasks;
+    for (unsigned q = 0; q < sequences; ++q)
+        tasks.push_back([&, q] {
+            core::FunctionalExecutor exec;
+            dnn::LstmState s;
+            s.h.assign(hid, 0.0f);
+            s.c.assign(hid, 0.0f);
+            for (unsigned t = 0; t < steps; ++t)
+                s = exec.runLstmStep(plan, 0, xs[q * steps + t], s);
+            last[q] = std::move(s);
+            stats[q] = exec.stats();
+            energy[q] = exec.energy().total();
+        });
+    sim::ThreadPool pool(threads);
+    pool.run(std::move(tasks));
+
+    bce::BceStats total;
+    double joules = 0.0;
+    std::uint64_t hsum = 0, csum = 0;
+    for (unsigned q = 0; q < sequences; ++q) {
+        total += stats[q];
+        joules += energy[q];
+        hsum = hsum * 31 + checksum(last[q].h.data(), hid);
+        csum = csum * 31 + checksum(last[q].c.data(), hid);
+    }
+    std::printf("micro_plan lstm stats: net=%s sequences=%u steps=%u "
+                "bits=4\n",
+                net.name().c_str(), sequences, steps);
+    std::printf("cycles %llu\n",
+                static_cast<unsigned long long>(total.cycles));
+    std::printf("macs %llu\n", static_cast<unsigned long long>(total.macs));
+    std::printf("rom_lookups %llu\n",
+                static_cast<unsigned long long>(total.counts.romLookups));
+    std::printf("lut_lookups %llu\n",
+                static_cast<unsigned long long>(total.counts.lutLookups));
+    std::printf("adds %llu\n",
+                static_cast<unsigned long long>(total.counts.adds));
+    std::printf("special_lut_events %llu\n",
+                static_cast<unsigned long long>(total.specialLutEvents));
+    std::printf("energy_total %.17g\n", joules);
+    std::printf("h_checksum %016llx\n",
+                static_cast<unsigned long long>(hsum));
+    std::printf("c_checksum %016llx\n",
+                static_cast<unsigned long long>(csum));
 }
 
 } // namespace
@@ -207,6 +288,7 @@ main(int argc, char **argv)
         std::printf("energy_total %.17g\n", cr.energy.total());
         std::printf("output_checksum %016llx\n",
                     static_cast<unsigned long long>(csum));
+        dump_lstm_block(threads);
         return 0;
     }
 

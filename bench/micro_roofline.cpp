@@ -172,7 +172,8 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
 /**
  * Steady-state MAC/s of a 1 x k by n x k matmulTile GEMV on the active
  * ISA, tallied against BT column features computed once up front (the
- * frozen-weight shape every FC, LSTM and attention layer runs).
+ * frozen-weight shape every FC, LSTM and attention layer runs); at 4
+ * bits BT is nibble-packed once up front too, as a plan freezes it.
  */
 double
 measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
@@ -183,13 +184,18 @@ measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
     const std::vector<std::int8_t> bt = pattern(n * k, 4, limit);
     lut::ColumnFeatures frozen;
     bce::simd::column_features(bt.data(), n, k, frozen);
+    lut::PackedTile packed;
+    lut::pack_tile(bt.data(), n, k, packed);
     std::vector<std::int32_t> out(n);
 
     Engine e(bce::BceMode::Matmul);
     auto pass = [&] {
         std::fill(out.begin(), out.end(), 0);
-        e.bce.matmulTile(a.data(), bt.data(), out.data(), 1, k, n, bits,
-                         &frozen);
+        if (bits == 4)
+            e.bce.matmulTile(a.data(), packed, out.data(), 1, frozen);
+        else
+            e.bce.matmulTile(a.data(), bt.data(), out.data(), 1, k, n,
+                             bits, &frozen);
         for (const std::int32_t v : out)
             checksum += v;
     };

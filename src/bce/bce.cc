@@ -392,6 +392,68 @@ Bce::checkTileDomain(const std::int8_t *a, const std::int8_t *bt,
                                          lut::LookupSource::BceRom);
 }
 
+namespace {
+
+/** A +8 in an int8 BT lies inside the 4-bit domain but packs as -8:
+ *  add the missing 16 * a to every output it feeds. */
+void
+add_back_eights(const std::int8_t *a, const std::int8_t *bt,
+                std::int32_t *out, std::size_t m, std::size_t k,
+                std::size_t n)
+{
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t p = 0; p < k; ++p)
+            if (bt[j * k + p] == 8)
+                for (std::size_t i = 0; i < m; ++i)
+                    out[i * n + j] = static_cast<std::int32_t>(
+                        static_cast<std::uint32_t>(out[i * n + j])
+                        + 16u * static_cast<std::uint32_t>(a[i * k + p]));
+}
+
+} // namespace
+
+const lut::DatapathTable *
+Bce::tileTable(unsigned bits) const
+{
+    if (_tier != ExecTier::Tiered || !lut::DatapathTable::coversBits(bits))
+        return nullptr;
+    const lut::DatapathTable &t = lut::rom_datapath_table(bits);
+    return t.productsExact() && t.histogramExact() ? &t : nullptr;
+}
+
+bool
+Bce::foldTile(const std::int8_t *a, std::size_t m, std::size_t k,
+              const lut::ColumnFeatures &bt, const lut::DatapathTable &t,
+              unsigned bits)
+{
+    // Factored tile: each operand classified once, the tally one
+    // column dot product per feature (see lut::ColumnFeatures).
+    std::uint32_t maxA = 0;
+    const simd::FeatureSums f = simd::fold_tile(a, m, k, bt, maxA);
+    const std::uint64_t macs = std::uint64_t{m} * bt.rows * k;
+    stats_.counts.romLookups += f.l;
+    stats_.counts.shifts += f.p - f.o;
+    stats_.counts.adds += f.p - f.z + macs; // + one lane add per MAC
+    stats_.counts.cycles += t.cyclesFactor() * f.p;
+    const std::uint32_t half = std::uint32_t{1} << (bits - 1);
+    return macs > 0 && (maxA > half || bt.maxMagnitude > half);
+}
+
+std::uint32_t
+Bce::legacyDot(const std::int8_t *a, const std::int8_t *b, std::size_t k,
+               unsigned bits)
+{
+    std::uint32_t acc = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+        const lut::MultResult r = lut::multiply_signed(
+            a[p], b[p], bits, rom, lut::LookupSource::BceRom);
+        stats_.counts += r.counts;
+        acc += static_cast<std::uint32_t>(r.product);
+        ++stats_.counts.adds;
+    }
+    return acc;
+}
+
 void
 Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
                 std::int32_t *out, std::size_t m, std::size_t k,
@@ -402,13 +464,7 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
         bfree_panic("broadcastMac requires matmul mode");
 
     const std::uint64_t macs = std::uint64_t{m} * n * k;
-    const lut::DatapathTable *t =
-        _tier == ExecTier::Tiered && lut::DatapathTable::coversBits(bits)
-            ? &lut::rom_datapath_table(bits)
-            : nullptr;
-    if (t && t->productsExact() && t->histogramExact()) {
-        // Factored tile: each operand classified once, the tally one
-        // column dot product per feature (see lut::ColumnFeatures).
+    if (const lut::DatapathTable *t = tileTable(bits)) {
         if (!btFeatures) {
             simd::column_features(bt, n, k, tileB_);
             btFeatures = &tileB_;
@@ -417,36 +473,66 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
                         btFeatures->rows, " x ", btFeatures->cols,
                         ", tile is ", n, " x ", k);
         }
-        std::uint32_t maxA = 0;
-        const simd::FeatureSums f =
-            simd::fold_tile(a, m, k, *btFeatures, maxA);
-        const std::uint32_t half = std::uint32_t{1} << (bits - 1);
-        if (macs > 0
-            && (maxA > half || btFeatures->maxMagnitude > half))
+        if (foldTile(a, m, k, *btFeatures, *t, bits))
             checkTileDomain(a, bt, m, k, n, bits);
 
-        simd::tile_products(a, bt, out, m, k, n, wideA_);
-        stats_.counts.romLookups += f.l;
-        stats_.counts.shifts += f.p - f.o;
-        stats_.counts.adds += f.p - f.z + macs; // + one lane add per MAC
-        stats_.counts.cycles += t->cyclesFactor() * f.p;
+        if (bits == 4) {
+            // The one 4-bit product kernel takes packed weights.
+            lut::pack_tile(bt, n, k, packedB_);
+            simd::tile_products(a, packedB_, out, m, packedRow_);
+            if (btFeatures->maxMagnitude >= 8)
+                add_back_eights(a, bt, out, m, k, n);
+        } else {
+            simd::tile_products(a, bt, out, m, k, n, wideA_);
+        }
     } else {
-        for (std::size_t i = 0; i < m; ++i) {
-            for (std::size_t j = 0; j < n; ++j) {
-                auto acc = static_cast<std::uint32_t>(out[i * n + j]);
-                for (std::size_t p = 0; p < k; ++p) {
-                    lut::MultResult r = lut::multiply_signed(
-                        a[i * k + p], bt[j * k + p], bits, rom,
-                        lut::LookupSource::BceRom);
-                    stats_.counts += r.counts;
-                    acc += static_cast<std::uint32_t>(r.product);
-                    ++stats_.counts.adds;
-                }
-                out[i * n + j] = static_cast<std::int32_t>(acc);
-            }
+        for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                out[i * n + j] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(out[i * n + j])
+                    + legacyDot(a + i * k, bt + j * k, k, bits));
+    }
+
+    chargeCycles(macs * (bits / 4));
+    stats_.macs += macs;
+}
+
+void
+Bce::matmulTile(const std::int8_t *a, const lut::PackedTile &bt,
+                std::int32_t *out, std::size_t m,
+                const lut::ColumnFeatures &btFeatures)
+{
+    constexpr unsigned bits = 4;
+    if (_mode != BceMode::Matmul)
+        bfree_panic("broadcastMac requires matmul mode");
+    const std::size_t k = bt.cols, n = bt.rows;
+    if (!btFeatures.describes(n, k))
+        bfree_panic("matmulTile: BT features describe ", btFeatures.rows,
+                    " x ", btFeatures.cols, ", tile is ", n, " x ", k);
+
+    if (const lut::DatapathTable *t = tileTable(bits)) {
+        if (foldTile(a, m, k, btFeatures, *t, bits)) {
+            // Packed weights all lie in [-8, 7], so the first offender
+            // in (i, j, t) order is A's first, met against BT row 0.
+            btRow_.resize(k);
+            lut::unpack_tile_row(bt, 0, btRow_.data());
+            checkTileDomain(a, btRow_.data(), m, k, 1, bits);
+        }
+        simd::tile_products(a, bt, out, m, packedRow_);
+    } else {
+        // Column by column: only A can hold an offender, so the first
+        // one met is still the first in (i, j, t) order.
+        btRow_.resize(k);
+        for (std::size_t j = 0; j < n; ++j) {
+            lut::unpack_tile_row(bt, j, btRow_.data());
+            for (std::size_t i = 0; i < m; ++i)
+                out[i * n + j] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(out[i * n + j])
+                    + legacyDot(a + i * k, btRow_.data(), k, bits));
         }
     }
 
+    const std::uint64_t macs = std::uint64_t{m} * n * k;
     chargeCycles(macs * (bits / 4));
     stats_.macs += macs;
 }
@@ -462,13 +548,25 @@ Bce::accumulateIncoming(std::int32_t local, std::int32_t incoming)
 double
 Bce::evaluatePwl(const lut::PwlTable &table, double x)
 {
-    lut::MicroOpCounts counts;
-    const double y = table.evaluate(x, &counts);
-    stats_.counts += counts;
-    // The alpha/beta fetch reads the sub-array LUT rows.
-    ++stats_.specialLutEvents;
-    chargeCycles(counts.cycles);
+    double y;
+    evaluatePwlSpan(table, &x, 1, &y);
     return y;
+}
+
+void
+Bce::evaluatePwlSpan(const lut::PwlTable &table, const double *x,
+                     std::size_t n, double *y)
+{
+    simd::pwl_span(table, x, n, y);
+    constexpr lut::MicroOpCounts one = lut::PwlTable::evaluationCounts();
+    stats_.counts.lutLookups += n * one.lutLookups;
+    stats_.counts.romLookups += n * one.romLookups;
+    stats_.counts.shifts += n * one.shifts;
+    stats_.counts.adds += n * one.adds;
+    stats_.counts.cycles += n * one.cycles;
+    // The alpha/beta fetch reads the sub-array LUT rows.
+    stats_.specialLutEvents += n;
+    chargeCycles(n * one.cycles);
 }
 
 double

@@ -57,6 +57,7 @@
 #include "lut/fixed_point.hh"
 #include "lut/mult_lut.hh"
 #include "lut/operand_analyzer.hh"
+#include "lut/packing.hh"
 #include "lut/pwl.hh"
 #include "mem/energy_account.hh"
 #include "mem/micro_op_energy.hh"
@@ -222,15 +223,28 @@ class Bce
      * sum_t FA_t * FB_t per class feature (lut::ColumnFeatures).
      * @p btFeatures, when given, must be BT's column features (a
      * frozen weight tile's, computed once at plan compile); otherwise
-     * they are computed per call. Scratch is grow-only and owned by
-     * the engine, so repeated tiles stop allocating. At 4 bits an
-     * operand outside [-8, 8] raises the analyzer's panic for the
-     * first offending pair in (i, j, t) order, as the Legacy walk does.
+     * they are computed per call. At 4 bits BT is nibble-packed into
+     * engine scratch first and runs the packed-tile product kernel
+     * (a +8, which packs as -8, is added back afterwards). Scratch is
+     * grow-only and owned by the engine, so repeated tiles stop
+     * allocating. At 4 bits an operand outside [-8, 8] raises the
+     * analyzer's panic for the first offending pair in (i, j, t)
+     * order, as the Legacy walk does.
      */
     void matmulTile(const std::int8_t *a, const std::int8_t *bt,
                     std::int32_t *out, std::size_t m, std::size_t k,
                     std::size_t n, unsigned bits,
                     const lut::ColumnFeatures *btFeatures = nullptr);
+
+    /**
+     * The same tile at 4 bits against a frozen nibble-packed BT
+     * (bt.rows x bt.cols, k = bt.cols) and its column features. Books
+     * exactly what the int8 overload books on the unpacked tile. The
+     * Legacy tier unpacks one BT row at a time.
+     */
+    void matmulTile(const std::int8_t *a, const lut::PackedTile &bt,
+                    std::int32_t *out, std::size_t m,
+                    const lut::ColumnFeatures &btFeatures);
 
     /** Accumulate a partial sum arriving from the systolic neighbour. */
     std::int32_t accumulateIncoming(std::int32_t local,
@@ -241,6 +255,15 @@ class Bce
     // ------------------------------------------------------------------
     /** Evaluate a PWL table (sigmoid/tanh/exp); two cycles. */
     double evaluatePwl(const lut::PwlTable &table, double x);
+
+    /**
+     * Evaluate @p table at @p n inputs into @p y (y == x allowed)
+     * through the dispatched SIMD kernel: bit-identical to n
+     * evaluatePwl() calls, and books n times one evaluation's tallies
+     * in one step.
+     */
+    void evaluatePwlSpan(const lut::PwlTable &table, const double *x,
+                         std::size_t n, double *y);
 
     /** LUT division (Section III-C2); four cycles. */
     double divide(double x, double y, const lut::DivisionLut &div);
@@ -318,6 +341,22 @@ class Bce
                          std::size_t m, std::size_t k, std::size_t n,
                          unsigned bits);
 
+    /** The ROM table a tile's factored tally folds against, or null
+     *  when the tile takes the Legacy walk. */
+    const lut::DatapathTable *tileTable(unsigned bits) const;
+
+    /** Book the factored tally of an m x k A tile against BT's column
+     *  features; true when an operand may lie outside the domain (the
+     *  caller must check it before any product). */
+    bool foldTile(const std::int8_t *a, std::size_t m, std::size_t k,
+                  const lut::ColumnFeatures &bt,
+                  const lut::DatapathTable &t, unsigned bits);
+
+    /** One Legacy-walk dot product of two rows of @p k operands,
+     *  analyzer micro-ops and one lane add per element booked. */
+    std::uint32_t legacyDot(const std::int8_t *a, const std::int8_t *b,
+                            std::size_t k, unsigned bits);
+
     mem::Subarray *sa;
     tech::TechParams tech;
     mem::EnergyAccount *energy;
@@ -329,9 +368,14 @@ class Bce
     mem::BceEnergyTallies flushed_; ///< Tallies already converted.
     lut::DatapathTable convTable4_, convTable8_; ///< Private, post-rewrite.
     /** Grow-only matmul-tile scratch: BT's column features when the
-     *  caller has none, and one widened A row. */
+     *  caller has none, one widened A row, an int8 BT packed at 4
+     *  bits, one padded A row for the packed kernel, and one unpacked
+     *  BT row for the Legacy walk and the domain check. */
     lut::ColumnFeatures tileB_;
     std::vector<std::int16_t> wideA_;
+    lut::PackedTile packedB_;
+    std::vector<std::int8_t> packedRow_;
+    std::vector<std::int8_t> btRow_;
     /** Grow-only conv scratch: the weights dotProduct reads out of the
      *  sub-array. */
     std::vector<std::uint8_t> weightBuf_;

@@ -262,6 +262,55 @@ tile_products_scalar(const std::int8_t *a, const std::int8_t *bt,
     }
 }
 
+/**
+ * Copy A row @p ai (@p k values) into @p row, zero-padded to @p padded
+ * values, and return -8 * sum(ai) mod 2^32: the per-row term that
+ * turns the offset-nibble sums of a packed tile into the int8 product.
+ */
+std::uint32_t
+stage_packed_row(const std::int8_t *ai, std::size_t k, std::size_t padded,
+                 std::int8_t *row)
+{
+    std::copy(ai, ai + k, row);
+    std::fill(row + k, row + padded, std::int8_t{0});
+    std::uint32_t sum = 0;
+    for (std::size_t t = 0; t < k; ++t)
+        sum += static_cast<std::uint32_t>(std::int32_t{ai[t]});
+    return 0u - 8u * sum;
+}
+
+/**
+ * Scalar packed-tile products: per group of packed bytes (64, or 32 in
+ * a trailing half group) the low nibbles meet the group's first run
+ * of A and the high nibbles the run right after it (see
+ * lut::PackedTile).
+ */
+void
+tile_products_packed_scalar(const std::int8_t *a, const lut::PackedTile &bt,
+                            std::int32_t *out, std::size_t m,
+                            std::int8_t *row)
+{
+    const std::size_t k = bt.cols, n = bt.rows;
+    const std::size_t rb = lut::PackedTile::rowBytes(k);
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::uint8_t *b = bt.row(j);
+            std::uint32_t acc = bias;
+            for (std::size_t s = 0; s < rb; s += 64) {
+                const std::size_t half = std::min<std::size_t>(64, rb - s);
+                const std::int8_t *lo = row + 2 * s;
+                const std::int8_t *hi = lo + half;
+                for (std::size_t x = 0; x < half; ++x)
+                    acc += static_cast<std::uint32_t>(
+                        (b[s + x] & 0xF) * lo[x] + (b[s + x] >> 4) * hi[x]);
+            }
+            out[i * n + j] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(out[i * n + j]) + acc);
+        }
+    }
+}
+
 #ifdef BFREE_X86_KERNELS
 
 // The pair_type_class compression split into two 16-lane pshufb
@@ -878,6 +927,110 @@ tile_products_avx2(const std::int8_t *a, const std::int8_t *bt,
 }
 
 /**
+ * AVX2 packed-tile products: four BT rows per pass; each 32-byte load
+ * of packed weights splits into low and high nibbles, both meet their
+ * A runs in one maddubs each (unsigned nibble x signed A, pair sums
+ * <= 3840, so nothing saturates), and the int16 sums widen to int32
+ * lanes by madd. A full group takes two loads, a half group one.
+ */
+__attribute__((target("avx2"))) void
+tile_products_packed_avx2(const std::int8_t *a, const lut::PackedTile &bt,
+                          std::int32_t *out, std::size_t m,
+                          std::int8_t *row)
+{
+    const std::size_t k = bt.cols, n = bt.rows;
+    const std::size_t rb = lut::PackedTile::rowBytes(k);
+    const std::size_t full = rb / 64 * 64;
+    const __m256i nib = _mm256_set1_epi8(0x0F);
+    const __m256i ones = _mm256_set1_epi16(1);
+#define BFREE_LOAD_256(p)                                                \
+    _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p))
+// Statement macros, not lambdas: a lambda inside a target("...")
+// function does not inherit the attribute (see BFREE_CLASSIFY_256).
+// The AVX-512 kernel reuses the 256-bit ones for its half group and
+// undefines them.
+#define BFREE_NIBBLE_DOT_256(dst, src, alo, ahi)                         \
+    do {                                                                 \
+        const __m256i x_ = BFREE_LOAD_256(src);                          \
+        (dst) = _mm256_add_epi16(                                        \
+            _mm256_maddubs_epi16(_mm256_and_si256(x_, nib), (alo)),      \
+            _mm256_maddubs_epi16(                                        \
+                _mm256_and_si256(_mm256_srli_epi16(x_, 4), nib), (ahi))); \
+    } while (0)
+#define BFREE_PACKED_STEP_256(acc, b)                                    \
+    do {                                                                 \
+        __m256i d0_, d1_;                                                \
+        BFREE_NIBBLE_DOT_256(d0_, (b) + s, a0, a2);                      \
+        BFREE_NIBBLE_DOT_256(d1_, (b) + s + 32, a1, a3);                 \
+        (acc) = _mm256_add_epi32(                                        \
+            (acc), _mm256_madd_epi16(_mm256_add_epi16(d0_, d1_), ones)); \
+    } while (0)
+#define BFREE_PACKED_HALF_256(acc, b)                                    \
+    do {                                                                 \
+        __m256i d_;                                                      \
+        BFREE_NIBBLE_DOT_256(d_, (b) + full, h0, h1);                    \
+        (acc) = _mm256_add_epi32((acc), _mm256_madd_epi16(d_, ones));    \
+    } while (0)
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
+        const bool half = full < rb;
+        const std::int8_t *hrow = row + 2 * full;
+        std::int32_t *oi = out + i * n;
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            const std::uint8_t *b0 = bt.row(j), *b1 = bt.row(j + 1),
+                               *b2 = bt.row(j + 2), *b3 = bt.row(j + 3);
+            __m256i s0 = _mm256_setzero_si256();
+            __m256i s1 = s0, s2 = s0, s3 = s0;
+            for (std::size_t s = 0; s < full; s += 64) {
+                const __m256i a0 = BFREE_LOAD_256(row + 2 * s);
+                const __m256i a1 = BFREE_LOAD_256(row + 2 * s + 32);
+                const __m256i a2 = BFREE_LOAD_256(row + 2 * s + 64);
+                const __m256i a3 = BFREE_LOAD_256(row + 2 * s + 96);
+                BFREE_PACKED_STEP_256(s0, b0);
+                BFREE_PACKED_STEP_256(s1, b1);
+                BFREE_PACKED_STEP_256(s2, b2);
+                BFREE_PACKED_STEP_256(s3, b3);
+            }
+            if (half) {
+                const __m256i h0 = BFREE_LOAD_256(hrow);
+                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
+                BFREE_PACKED_HALF_256(s0, b0);
+                BFREE_PACKED_HALF_256(s1, b1);
+                BFREE_PACKED_HALF_256(s2, b2);
+                BFREE_PACKED_HALF_256(s3, b3);
+            }
+            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
+            _mm_storeu_si128(
+                dst, _mm_add_epi32(
+                         _mm_loadu_si128(dst),
+                         _mm_add_epi32(hsum4_u32x8(s0, s1, s2, s3),
+                                       _mm_set1_epi32(
+                                           static_cast<int>(bias)))));
+        }
+        for (; j < n; ++j) {
+            const std::uint8_t *b0 = bt.row(j);
+            __m256i s0 = _mm256_setzero_si256();
+            for (std::size_t s = 0; s < full; s += 64) {
+                const __m256i a0 = BFREE_LOAD_256(row + 2 * s);
+                const __m256i a1 = BFREE_LOAD_256(row + 2 * s + 32);
+                const __m256i a2 = BFREE_LOAD_256(row + 2 * s + 64);
+                const __m256i a3 = BFREE_LOAD_256(row + 2 * s + 96);
+                BFREE_PACKED_STEP_256(s0, b0);
+            }
+            if (half) {
+                const __m256i h0 = BFREE_LOAD_256(hrow);
+                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
+                BFREE_PACKED_HALF_256(s0, b0);
+            }
+            oi[j] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(s0) + bias);
+        }
+    }
+#undef BFREE_PACKED_STEP_256
+}
+
+/**
  * AVX-512 column-feature pass: the AVX2 pass at 64 columns per step,
  * the ragged column tail read through masked loads that zero the lanes
  * past cols (and never touch their memory); its zero features land in
@@ -1056,6 +1209,169 @@ tile_products_avx512(const std::int8_t *a, const std::int8_t *bt,
 #undef BFREE_TILE_LOAD_512
 }
 
+/**
+ * AVX-512 packed-tile products: the AVX2 scheme with one 64-byte load
+ * per full group (its low nibbles meet the group's first 64 A values,
+ * its high nibbles the next 64); a trailing half group takes one
+ * 256-bit step into a separate accumulator.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+tile_products_packed_avx512(const std::int8_t *a,
+                            const lut::PackedTile &bt, std::int32_t *out,
+                            std::size_t m, std::int8_t *row)
+{
+    const std::size_t k = bt.cols, n = bt.rows;
+    const std::size_t rb = lut::PackedTile::rowBytes(k);
+    const std::size_t full = rb / 64 * 64;
+    const __m512i nib5 = _mm512_set1_epi8(0x0F);
+    const __m512i ones5 = _mm512_set1_epi16(1);
+    const __m256i nib = _mm256_set1_epi8(0x0F);
+    const __m256i ones = _mm256_set1_epi16(1);
+#define BFREE_PACKED_STEP_512(acc, b)                                    \
+    do {                                                                 \
+        const __m512i x_ = _mm512_loadu_si512((b) + s);                  \
+        (acc) = _mm512_add_epi32(                                        \
+            (acc),                                                       \
+            _mm512_madd_epi16(                                           \
+                _mm512_add_epi16(                                        \
+                    _mm512_maddubs_epi16(_mm512_and_si512(x_, nib5),     \
+                                         alo),                           \
+                    _mm512_maddubs_epi16(                                \
+                        _mm512_and_si512(_mm512_srli_epi16(x_, 4),       \
+                                         nib5),                          \
+                        ahi)),                                           \
+                ones5));                                                 \
+    } while (0)
+#define BFREE_FOLD_TO_256(v)                                             \
+    _mm256_add_epi32(_mm512_castsi512_si256(v),                          \
+                     _mm512_extracti64x4_epi64(v, 1))
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
+        const bool half = full < rb;
+        const std::int8_t *hrow = row + 2 * full;
+        std::int32_t *oi = out + i * n;
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            const std::uint8_t *b0 = bt.row(j), *b1 = bt.row(j + 1),
+                               *b2 = bt.row(j + 2), *b3 = bt.row(j + 3);
+            __m512i s0 = _mm512_setzero_si512();
+            __m512i s1 = s0, s2 = s0, s3 = s0;
+            for (std::size_t s = 0; s < full; s += 64) {
+                const __m512i alo = _mm512_loadu_si512(row + 2 * s);
+                const __m512i ahi = _mm512_loadu_si512(row + 2 * s + 64);
+                BFREE_PACKED_STEP_512(s0, b0);
+                BFREE_PACKED_STEP_512(s1, b1);
+                BFREE_PACKED_STEP_512(s2, b2);
+                BFREE_PACKED_STEP_512(s3, b3);
+            }
+            __m256i t0 = BFREE_FOLD_TO_256(s0), t1 = BFREE_FOLD_TO_256(s1),
+                    t2 = BFREE_FOLD_TO_256(s2), t3 = BFREE_FOLD_TO_256(s3);
+            if (half) {
+                const __m256i h0 = BFREE_LOAD_256(hrow);
+                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
+                BFREE_PACKED_HALF_256(t0, b0);
+                BFREE_PACKED_HALF_256(t1, b1);
+                BFREE_PACKED_HALF_256(t2, b2);
+                BFREE_PACKED_HALF_256(t3, b3);
+            }
+            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
+            _mm_storeu_si128(
+                dst, _mm_add_epi32(
+                         _mm_loadu_si128(dst),
+                         _mm_add_epi32(hsum4_u32x8(t0, t1, t2, t3),
+                                       _mm_set1_epi32(
+                                           static_cast<int>(bias)))));
+        }
+        for (; j < n; ++j) {
+            const std::uint8_t *b0 = bt.row(j);
+            __m512i s0 = _mm512_setzero_si512();
+            for (std::size_t s = 0; s < full; s += 64) {
+                const __m512i alo = _mm512_loadu_si512(row + 2 * s);
+                const __m512i ahi = _mm512_loadu_si512(row + 2 * s + 64);
+                BFREE_PACKED_STEP_512(s0, b0);
+            }
+            __m256i t0 = BFREE_FOLD_TO_256(s0);
+            if (half) {
+                const __m256i h0 = BFREE_LOAD_256(hrow);
+                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
+                BFREE_PACKED_HALF_256(t0, b0);
+            }
+            oi[j] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(t0) + bias);
+        }
+    }
+#undef BFREE_FOLD_TO_256
+#undef BFREE_PACKED_STEP_512
+#undef BFREE_PACKED_HALF_256
+#undef BFREE_NIBBLE_DOT_256
+#undef BFREE_LOAD_256
+}
+
+/**
+ * AVX2 PWL span, four doubles per step. Every step is the scalar
+ * evaluate's: clamp by the same two comparisons (max(lo, x) then
+ * min(hi, .) pick exactly what std::clamp picks, signed zeros
+ * included), the segment index truncated from the same division and
+ * capped unsigned (a NaN's out-of-range index lands on the last
+ * segment, as the scalar cast does), then one rounded multiply and one
+ * rounded add — fp-contract is off for this function so the compiler
+ * cannot fuse them into an FMA. The n % 4 tail is the scalar evaluate.
+ */
+__attribute__((target("avx2"), optimize("fp-contract=off"))) void
+pwl_span_avx2(const lut::PwlTable &table, const double *x, std::size_t n,
+              double *y)
+{
+    static_assert(sizeof(lut::PwlSegment) == 2 * sizeof(double));
+    const double *ab = &table.raw()[0].alpha;
+    const __m256d lo = _mm256_set1_pd(table.xmin());
+    const __m256d hi = _mm256_set1_pd(table.xmax());
+    const __m256d width = _mm256_set1_pd(table.segmentWidth());
+    const __m128i last = _mm_set1_epi32(
+        static_cast<int>(table.segments() - 1));
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256d c = _mm256_min_pd(
+            hi, _mm256_max_pd(lo, _mm256_loadu_pd(x + i)));
+        const __m128i idx = _mm_min_epu32(
+            _mm256_cvttpd_epi32(_mm256_div_pd(_mm256_sub_pd(c, lo), width)),
+            last);
+        const __m128i at = _mm_add_epi32(idx, idx);
+        const __m256d alpha = _mm256_i32gather_pd(ab, at, 8);
+        const __m256d beta = _mm256_i32gather_pd(ab + 1, at, 8);
+        _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_mul_pd(alpha, c), beta));
+    }
+    for (; i < n; ++i)
+        y[i] = table.evaluate(x[i]);
+}
+
+/** AVX-512 PWL span: the AVX2 span at eight doubles per step. */
+__attribute__((target("avx512f,avx512bw,avx512vl"),
+               optimize("fp-contract=off"))) void
+pwl_span_avx512(const lut::PwlTable &table, const double *x, std::size_t n,
+                double *y)
+{
+    const double *ab = &table.raw()[0].alpha;
+    const __m512d lo = _mm512_set1_pd(table.xmin());
+    const __m512d hi = _mm512_set1_pd(table.xmax());
+    const __m512d width = _mm512_set1_pd(table.segmentWidth());
+    const __m256i last = _mm256_set1_epi32(
+        static_cast<int>(table.segments() - 1));
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512d c = _mm512_min_pd(
+            hi, _mm512_max_pd(lo, _mm512_loadu_pd(x + i)));
+        const __m256i idx = _mm256_min_epu32(
+            _mm512_cvttpd_epi32(_mm512_div_pd(_mm512_sub_pd(c, lo), width)),
+            last);
+        const __m256i at = _mm256_add_epi32(idx, idx);
+        const __m512d alpha = _mm512_i32gather_pd(at, ab, 8);
+        const __m512d beta = _mm512_i32gather_pd(at, ab + 1, 8);
+        _mm512_storeu_pd(y + i, _mm512_add_pd(_mm512_mul_pd(alpha, c), beta));
+    }
+    for (; i < n; ++i)
+        y[i] = table.evaluate(x[i]);
+}
+
 #pragma GCC diagnostic pop
 
 #endif // BFREE_X86_KERNELS
@@ -1160,6 +1476,47 @@ tile_products(const std::int8_t *a, const std::int8_t *bt,
 #endif
       default:
         tile_products_scalar(a, bt, out, m, k, n);
+        return;
+    }
+}
+
+void
+tile_products(const std::int8_t *a, const lut::PackedTile &bt,
+              std::int32_t *out, std::size_t m,
+              std::vector<std::int8_t> &row)
+{
+    row.resize(2 * lut::PackedTile::rowBytes(bt.cols));
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        tile_products_packed_avx512(a, bt, out, m, row.data());
+        return;
+      case sim::SimdLevel::Avx2:
+        tile_products_packed_avx2(a, bt, out, m, row.data());
+        return;
+#endif
+      default:
+        tile_products_packed_scalar(a, bt, out, m, row.data());
+        return;
+    }
+}
+
+void
+pwl_span(const lut::PwlTable &table, const double *x, std::size_t n,
+         double *y)
+{
+    switch (sim::active_simd_level()) {
+#ifdef BFREE_X86_KERNELS
+      case sim::SimdLevel::Avx512:
+        pwl_span_avx512(table, x, n, y);
+        return;
+      case sim::SimdLevel::Avx2:
+        pwl_span_avx2(table, x, n, y);
+        return;
+#endif
+      default:
+        for (std::size_t i = 0; i < n; ++i)
+            y[i] = table.evaluate(x[i]);
         return;
     }
 }

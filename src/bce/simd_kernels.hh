@@ -28,7 +28,13 @@
  * factors into per-column sums of each operand's features, so a tile
  * classifies each operand once rather than once per MAC pair (see
  * lut::ColumnFeatures). Products are a plain int8 GEMM with wrapping
- * int32 accumulation.
+ * int32 accumulation; a 4-bit frozen tile's weights arrive
+ * nibble-packed (lut::PackedTile) and meet A through an
+ * unsigned-by-signed byte multiply-add.
+ *
+ * PWL spans (pwl_span): sigmoid/tanh/exp over a run of doubles, the
+ * segment index truncated from the same division and alpha * x + beta
+ * rounded in the same two steps as lut::PwlTable::evaluate.
  *
  * Variant selection is runtime CPU dispatch (sim/cpuid): one x86
  * binary carries scalar, AVX2 and AVX-512 paths (any other CPU runs the
@@ -44,6 +50,8 @@
 #include <vector>
 
 #include "lut/datapath_table.hh"
+#include "lut/packing.hh"
+#include "lut/pwl.hh"
 
 namespace bfree::bce::simd {
 
@@ -105,6 +113,26 @@ FeatureSums fold_tile(const std::int8_t *a, std::size_t m, std::size_t k,
 void tile_products(const std::int8_t *a, const std::int8_t *bt,
                    std::int32_t *out, std::size_t m, std::size_t k,
                    std::size_t n, std::vector<std::int16_t> &wide);
+
+/**
+ * The products of an m x k A tile against a 4-bit packed n x k BT
+ * tile (k = bt.cols, n = bt.rows): out[i*n + j] += dot(a[i], bt[j]),
+ * accumulated mod 2^32 — the same sums the int8 tile_products gives on
+ * the unpacked tile. Each nibble w + 8 is multiplied by A with an
+ * unsigned-by-signed byte multiply-add, then 8 * sum(a[i]) is
+ * subtracted per row. @p row is grow-only scratch for one zero-padded
+ * row of A. Never reads past A's last byte or BT's last row.
+ */
+void tile_products(const std::int8_t *a, const lut::PackedTile &bt,
+                   std::int32_t *out, std::size_t m,
+                   std::vector<std::int8_t> &row);
+
+/**
+ * Evaluate @p table at @p n doubles: y[i] = table.evaluate(x[i]),
+ * bit for bit, for every finite x (in-place, y == x, is allowed).
+ */
+void pwl_span(const lut::PwlTable &table, const double *x, std::size_t n,
+              double *y);
 
 /**
  * A strided view of an int8 operand span: the logical span is nRuns

@@ -32,6 +32,35 @@ FunctionalExecutor::FunctionalExecutor(const tech::CacheGeometry &geom,
 // input-dependent activation side is quantized here.
 using dnn::SymQuant;
 using dnn::choose_sym;
+using dnn::TensorArena;
+
+namespace {
+
+/** Run the quantized m x k rows @p qa against a frozen n x k tile into
+ *  @p accs: a plan's 4-bit tile through the packed kernel, any other
+ *  through the int8 tile (with the plan's column features when the
+ *  tile has them). */
+void
+run_frozen_tile(bce::Bce &bce, const std::int8_t *qa,
+                const dnn::QuantizedWeights &wt, std::int32_t *accs,
+                std::size_t m, std::size_t k, std::size_t n)
+{
+    if (wt.packed())
+        bce.matmulTile(qa, wt.q4, accs, m, wt.features);
+    else
+        bce.matmulTile(qa, wt.q8.data(), accs, m, k, n, wt.bits,
+                       wt.features.sums.empty() ? nullptr : &wt.features);
+}
+
+/** Arena bytes matmulFrozenInto() takes for an m x k by n x k tile. */
+std::size_t
+matmul_scratch_bytes(std::size_t m, std::size_t k, std::size_t n)
+{
+    return TensorArena::paddedBytes<std::int8_t>(m * k)
+           + TensorArena::paddedBytes<std::int32_t>(m * n);
+}
+
+} // namespace
 
 void
 FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
@@ -202,8 +231,7 @@ FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
         const std::size_t n = layer.outFeatures;
         std::int32_t *accs = arena_.alloc<std::int32_t>(n);
         std::fill(accs, accs + n, 0);
-        bce.matmulTile(qin, fw.q8.data(), accs, 1, k, n, bits,
-                       &fw.features);
+        run_frozen_tile(bce, qin, fw, accs, 1, k, n);
         for (unsigned o = 0; o < layer.outFeatures; ++o)
             out[o] = static_cast<float>(accs[o] * fw.scale.scale
                                         * qi.scale)
@@ -239,26 +267,29 @@ void
 FunctionalExecutor::runActivationInto(const PlannedLayer &pl,
                                       const float *in, float *out)
 {
-    for (std::size_t i = 0; i < pl.inElems; ++i) {
-        const float x = in[i];
-        switch (pl.layer.kind) {
-          case dnn::LayerKind::Relu: {
+    if (pl.layer.kind == dnn::LayerKind::Relu) {
+        for (std::size_t i = 0; i < pl.inElems; ++i) {
             const std::int32_t vals[2] = {
-                0, static_cast<std::int32_t>(std::lround(x * 256.0f))};
-            out[i] =
-                static_cast<float>(bce.maxReduce(vals, 2)) / 256.0f;
-            break;
-          }
-          case dnn::LayerKind::Sigmoid:
-            out[i] =
-                static_cast<float>(bce.evaluatePwl(sigmoidTable, x));
-            break;
-          case dnn::LayerKind::Tanh:
-            out[i] = static_cast<float>(bce.evaluatePwl(tanhTable, x));
-            break;
-          default:
-            bfree_panic("unsupported activation in functional path");
+                0, static_cast<std::int32_t>(std::lround(in[i] * 256.0f))};
+            out[i] = static_cast<float>(bce.maxReduce(vals, 2)) / 256.0f;
         }
+        return;
+    }
+    if (pl.layer.kind != dnn::LayerKind::Sigmoid
+        && pl.layer.kind != dnn::LayerKind::Tanh)
+        bfree_panic("unsupported activation in functional path");
+    const lut::PwlTable &table = pl.layer.kind == dnn::LayerKind::Sigmoid
+                                     ? sigmoidTable
+                                     : tanhTable;
+    // One PWL span per chunk of widened inputs.
+    constexpr std::size_t chunk = 256;
+    double buf[chunk];
+    for (std::size_t i0 = 0; i0 < pl.inElems; i0 += chunk) {
+        const std::size_t len = std::min(chunk, pl.inElems - i0);
+        std::copy(in + i0, in + i0 + len, buf);
+        bce.evaluatePwlSpan(table, buf, len, buf);
+        for (std::size_t t = 0; t < len; ++t)
+            out[i0 + t] = static_cast<float>(buf[t]);
     }
 }
 
@@ -400,6 +431,47 @@ FunctionalExecutor::run(const dnn::Network &net,
     return run(NetworkPlan::compile(net, weights, bits), input);
 }
 
+void
+FunctionalExecutor::matmulFrozenInto(const float *a, std::size_t m,
+                                     const dnn::QuantizedWeights &wt,
+                                     std::size_t k, std::size_t n,
+                                     float *out)
+{
+    const unsigned bits = wt.bits;
+    const SymQuant qa = choose_sym(a, m * k, bits);
+    bce.setMode(bce::BceMode::Matmul);
+
+    if (bits <= 8) {
+        // Quantize A row-major (per call — it is the activation side);
+        // the B^T tile is already frozen. One blocked GEMM tile.
+        std::int8_t *qrows = arena_.alloc<std::int8_t>(m * k);
+        dnn::quantize_span(qa, a, m * k, qrows);
+        std::int32_t *accs = arena_.alloc<std::int32_t>(m * n);
+        std::fill(accs, accs + m * n, 0);
+        run_frozen_tile(bce, qrows, wt, accs, m, k, n);
+        for (std::size_t i = 0; i < m * n; ++i)
+            out[i] = static_cast<float>(accs[i] * qa.scale * wt.scale.scale);
+        return;
+    }
+
+    std::int8_t *qrow = arena_.alloc<std::int8_t>(k);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t p = 0; p < k; ++p)
+            qrow[p] = static_cast<std::int8_t>(qa.q(a[i * k + p]));
+        for (std::size_t j = 0; j < n; ++j) {
+            std::int64_t acc = 0;
+            for (std::size_t p = 0; p < k; ++p) {
+                const std::int32_t wq = wt.q32[j * k + p];
+                std::int32_t lane = 0;
+                bce.broadcastMac(wq, &qrow[p], 1, &lane, bits);
+                acc += lane;
+            }
+            out[i * n + j] =
+                static_cast<float>(acc * qa.scale * wt.scale.scale);
+        }
+    }
+}
+
 dnn::FloatTensor
 FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
                                   const dnn::QuantizedWeights &wt,
@@ -410,50 +482,11 @@ FunctionalExecutor::qMatmulFrozen(const dnn::FloatTensor &a,
     if (wt.count() != k * n)
         bfree_panic("qMatmulFrozen: expected an n x k tile of ", k * n,
                     " values, got ", wt.count());
-    const unsigned bits = wt.bits;
     const std::size_t m = a.dim(0);
-
-    const SymQuant qa = choose_sym(a.data(), a.size(), bits);
-
-    bce.setMode(bce::BceMode::Matmul);
+    arena_.reserve(matmul_scratch_bytes(m, k, n));
+    arena_.reset();
     dnn::FloatTensor out({m, n});
-
-    if (bits <= 8) {
-        // Quantize A row-major (per call — it is the activation side);
-        // the B^T tile is already frozen, and a plan's tile carries its
-        // column features too (weights frozen on the fly have none, so
-        // the tile sums them per call). One blocked GEMM tile.
-        std::vector<std::int8_t> qrows(m * k);
-        dnn::quantize_span(qa, a.data(), m * k, qrows.data());
-
-        std::vector<std::int32_t> accs(m * n, 0);
-        bce.matmulTile(qrows.data(), wt.q8.data(), accs.data(), m, k, n,
-                       bits,
-                       wt.features.sums.empty() ? nullptr : &wt.features);
-        for (std::size_t i = 0; i < m; ++i)
-            for (std::size_t j = 0; j < n; ++j)
-                out.at(i, j) =
-                    static_cast<float>(accs[i * n + j] * qa.scale
-                                       * wt.scale.scale);
-        return out;
-    }
-
-    std::vector<std::int8_t> qrow(k);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p)
-            qrow[p] = static_cast<std::int8_t>(qa.q(a.at(i, p)));
-        for (std::size_t j = 0; j < n; ++j) {
-            std::int64_t acc = 0;
-            for (std::size_t p = 0; p < k; ++p) {
-                const std::int32_t wq = wt.q32[j * k + p];
-                std::int32_t lane = 0;
-                bce.broadcastMac(wq, &qrow[p], 1, &lane, bits);
-                acc += lane;
-            }
-            out.at(i, j) = static_cast<float>(acc * qa.scale
-                                              * wt.scale.scale);
-        }
-    }
+    matmulFrozenInto(a.data(), m, wt, k, n, out.data());
     return out;
 }
 
@@ -474,40 +507,55 @@ FunctionalExecutor::lstmStepImpl(const dnn::Layer &layer,
 {
     const unsigned in = layer.lstmInput;
     const unsigned hid = layer.lstmHidden;
-    const unsigned cols = in + hid;
+    const std::size_t cols = std::size_t(in) + hid;
+    const std::size_t gates = std::size_t(4) * hid;
     if (x.size() != in || prev.h.size() != hid)
         bfree_fatal("runLstmStep: state size mismatch");
+    if (gatesW.count() != cols * gates)
+        bfree_panic("qMatmulFrozen: expected an n x k tile of ",
+                    cols * gates, " values, got ", gatesW.count());
+
+    // Every intermediate lives in the arena; only the returned state
+    // allocates.
+    arena_.reserve(TensorArena::paddedBytes<float>(cols)
+                   + TensorArena::paddedBytes<float>(gates)
+                   + matmul_scratch_bytes(1, cols, gates)
+                   + TensorArena::paddedBytes<double>(gates + hid));
+    arena_.reset();
 
     // Concatenate [x, h] into one row vector and run the packed gate
     // matvec on the broadcast datapath: [1][cols] x [cols][4*hid]. The
     // frozen row-major [4*hid][cols] gate matrix is exactly the
     // transposed tile that product wants.
-    dnn::FloatTensor xh({std::size_t(1), cols});
-    for (unsigned i = 0; i < in; ++i)
-        xh.at(0, i) = x[i];
-    for (unsigned i = 0; i < hid; ++i)
-        xh.at(0, in + i) = prev.h[i];
+    float *xh = arena_.alloc<float>(cols);
+    std::copy(x.begin(), x.end(), xh);
+    std::copy(prev.h.begin(), prev.h.end(), xh + in);
+    float *g = arena_.alloc<float>(gates);
+    matmulFrozenInto(xh, 1, gatesW, cols, gates, g);
 
-    const dnn::FloatTensor gates =
-        qMatmulFrozen(xh, gatesW, cols, std::size_t(4) * hid);
+    // Pre-activations [i | f | g | o], then one PWL span per gate; the
+    // last hid slots take c_new and then tanh(c_new).
+    double *pre = arena_.alloc<double>(gates + hid);
+    for (std::size_t j = 0; j < gates; ++j)
+        pre[j] = g[j] + bias[j];
+    double *const i_g = pre, *const f_g = pre + hid,
+                  *const g_g = pre + 2 * hid, *const o_g = pre + 3 * hid,
+                  *const c_new = pre + 4 * hid;
+    bce.evaluatePwlSpan(sigmoidTable, i_g, hid, i_g);
+    bce.evaluatePwlSpan(sigmoidTable, f_g, hid, f_g);
+    bce.evaluatePwlSpan(tanhTable, g_g, hid, g_g);
+    bce.evaluatePwlSpan(sigmoidTable, o_g, hid, o_g);
 
     dnn::LstmState next;
     next.h.resize(hid);
     next.c.resize(hid);
     for (unsigned j = 0; j < hid; ++j) {
-        const double i_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 0 * hid + j) + bias[0 * hid + j]);
-        const double f_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 1 * hid + j) + bias[1 * hid + j]);
-        const double g_g = bce.evaluatePwl(
-            tanhTable, gates.at(0, 2 * hid + j) + bias[2 * hid + j]);
-        const double o_g = bce.evaluatePwl(
-            sigmoidTable, gates.at(0, 3 * hid + j) + bias[3 * hid + j]);
-        const double c_new = f_g * prev.c[j] + i_g * g_g;
-        next.c[j] = static_cast<float>(c_new);
-        next.h[j] = static_cast<float>(
-            o_g * bce.evaluatePwl(tanhTable, c_new));
+        c_new[j] = f_g[j] * prev.c[j] + i_g[j] * g_g[j];
+        next.c[j] = static_cast<float>(c_new[j]);
     }
+    bce.evaluatePwlSpan(tanhTable, c_new, hid, c_new);
+    for (unsigned j = 0; j < hid; ++j)
+        next.h[j] = static_cast<float>(o_g[j] * c_new[j]);
     return next;
 }
 

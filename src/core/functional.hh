@@ -201,7 +201,17 @@ class FunctionalExecutor
     void runSoftmaxInto(const PlannedLayer &pl, const float *in,
                         float *out);
 
-    /** Shared LSTM step against a frozen gate tile. */
+    /**
+     * out[m][n] = a[m][k] x the frozen n x k tile @p wt, dequantized;
+     * the quantized rows and accumulators come from the arena, which
+     * the caller has reserved.
+     */
+    void matmulFrozenInto(const float *a, std::size_t m,
+                          const dnn::QuantizedWeights &wt, std::size_t k,
+                          std::size_t n, float *out);
+
+    /** Shared LSTM step against a frozen gate tile; its scratch comes
+     *  from the arena. */
     dnn::LstmState lstmStepImpl(const dnn::Layer &layer,
                                 const std::vector<float> &x,
                                 const dnn::LstmState &prev,

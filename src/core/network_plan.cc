@@ -252,15 +252,51 @@ NetworkPlan::tryEstimate(const dnn::Network &net, unsigned bits,
 
 namespace {
 
-/** Sum a frozen n x k matmul tile's column features once (<= 8 bits;
- *  wider tiles run the scalar datapath), read-only afterwards and
- *  shared by every executor that runs the plan. */
-void
-freeze_tile_features(dnn::QuantizedWeights &w, std::size_t n,
-                     std::size_t k)
+/**
+ * Freeze an n x k matmul tile (FC, LSTM gates, attention projections)
+ * and sum its column features once, read-only afterwards and shared
+ * by every executor that runs the plan (<= 8 bits; wider tiles run
+ * the scalar datapath). A 4-bit tile is quantized one feature block
+ * of rows at a time, each block's features summed and its rows
+ * nibble-packed straight away, so the int8 tile never exists whole.
+ */
+dnn::QuantizedWeights
+freeze_tile(const float *w, std::size_t n, std::size_t k, unsigned bits,
+            bool transposed)
 {
-    if (w.narrow())
-        bce::simd::column_features(w.q8.data(), n, k, w.features);
+    if (bits != 4) {
+        dnn::QuantizedWeights q =
+            transposed ? dnn::freeze_weights_transposed(w, k, n, bits)
+                       : dnn::freeze_weights(w, n * k, bits);
+        if (q.narrow())
+            bce::simd::column_features(q.q8.data(), n, k, q.features);
+        return q;
+    }
+
+    dnn::QuantizedWeights q;
+    q.scale = dnn::choose_sym(w, n * k, bits);
+    q.bits = bits;
+    lut::init_packed_tile(q.q4, n, k);
+    constexpr std::size_t rows = lut::ColumnFeatures::block_rows;
+    const std::size_t blockBytes = 4 * lut::ColumnFeatures::stride(k);
+    q.features.rows = n;
+    q.features.cols = k;
+    q.features.sums.resize(q.features.blocks() * blockBytes);
+    std::vector<std::int8_t> block(rows * k);
+    lut::ColumnFeatures f;
+    for (std::size_t r0 = 0; r0 < n; r0 += rows) {
+        const std::size_t r1 = std::min(n, r0 + rows);
+        dnn::quantize_tile_rows(q.scale, w, k, n, transposed, r0, r1,
+                                block.data());
+        bce::simd::column_features(block.data(), r1 - r0, k, f);
+        std::copy(f.sums.begin(), f.sums.end(),
+                  q.features.sums.begin()
+                      + static_cast<std::ptrdiff_t>(r0 / rows * blockBytes));
+        q.features.maxMagnitude =
+            std::max(q.features.maxMagnitude, f.maxMagnitude);
+        lut::pack_tile_rows(block.data(), r0, r1, q.q4);
+    }
+    return q;
 }
 
 } // namespace
@@ -314,10 +350,9 @@ NetworkPlan::compile(const dnn::Network &net,
                             layer.outFeatures, " biases");
             // [outFeatures][inFeatures] storage IS the transposed-B
             // GEMM tile — freeze in place.
-            pl.frozen.push_back(
-                dnn::freeze_weights(w.weights.data(), count, bits));
-            freeze_tile_features(pl.frozen.back(), layer.outFeatures,
-                                 layer.inFeatures);
+            pl.frozen.push_back(freeze_tile(w.weights.data(),
+                                            layer.outFeatures,
+                                            layer.inFeatures, bits, false));
             break;
           }
           case dnn::LayerKind::LstmCell: {
@@ -335,9 +370,9 @@ NetworkPlan::compile(const dnn::Network &net,
             // legacy path transposed it and the GEMM transposed it
             // back. Freeze in place, no transpose.
             pl.frozen.push_back(
-                dnn::freeze_weights(w.weights.data(), count, bits));
-            freeze_tile_features(pl.frozen.back(),
-                                 std::size_t(4) * layer.lstmHidden, cols);
+                freeze_tile(w.weights.data(),
+                            std::size_t(4) * layer.lstmHidden, cols, bits,
+                            false));
             break;
           }
           case dnn::LayerKind::Attention: {
@@ -349,13 +384,10 @@ NetworkPlan::compile(const dnn::Network &net,
             // Four independent d x d projections, each with its own
             // scale (matching the legacy per-projection qMatmul), each
             // frozen into the transposed tile.
-            for (unsigned b = 0; b < 4; ++b) {
-                pl.frozen.push_back(dnn::freeze_weights_transposed(
-                    w.weights.data() + b * dd, layer.dModel,
-                    layer.dModel, bits));
-                freeze_tile_features(pl.frozen.back(), layer.dModel,
-                                     layer.dModel);
-            }
+            for (unsigned b = 0; b < 4; ++b)
+                pl.frozen.push_back(freeze_tile(w.weights.data() + b * dd,
+                                                layer.dModel, layer.dModel,
+                                                bits, true));
             break;
           }
           default:

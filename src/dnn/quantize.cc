@@ -191,6 +191,20 @@ freeze_weights(const float *w, std::size_t n, unsigned bits)
     return out;
 }
 
+void
+quantize_tile_rows(const SymQuant &sq, const float *w, std::size_t k,
+                   std::size_t n, bool transposed, std::size_t r0,
+                   std::size_t r1, std::int8_t *dst)
+{
+    if (!transposed) {
+        quantize_span(sq, w + r0 * k, (r1 - r0) * k, dst);
+        return;
+    }
+    for (std::size_t j = r0; j < r1; ++j)
+        for (std::size_t p = 0; p < k; ++p)
+            *dst++ = static_cast<std::int8_t>(sq.q(w[p * n + j]));
+}
+
 QuantizedWeights
 freeze_weights_transposed(const float *w, std::size_t k, std::size_t n,
                           unsigned bits)
@@ -200,10 +214,7 @@ freeze_weights_transposed(const float *w, std::size_t k, std::size_t n,
     out.bits = bits;
     if (bits <= 8) {
         out.q8.resize(k * n);
-        for (std::size_t j = 0; j < n; ++j)
-            for (std::size_t p = 0; p < k; ++p)
-                out.q8[j * k + p] =
-                    static_cast<std::int8_t>(out.scale.q(w[p * n + j]));
+        quantize_tile_rows(out.scale, w, k, n, true, 0, n, out.q8.data());
     } else {
         out.q32.resize(k * n);
         for (std::size_t j = 0; j < n; ++j)

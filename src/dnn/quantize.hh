@@ -20,6 +20,7 @@
 
 #include "lut/datapath_table.hh"
 #include "lut/fixed_point.hh"
+#include "lut/packing.hh"
 #include "network.hh"
 #include "tensor.hh"
 
@@ -71,7 +72,9 @@ void quantize_span(const SymQuant &sq, const float *src, std::size_t n,
  * re-quantizing at every use — that identity is what lets the
  * execution-plan layer hoist all weight quantization out of the
  * steady-state path. Narrow precisions (<= 8 bits) land in q8; wider
- * ones in q32 (the layouts the batched BCE kernels consume).
+ * ones in q32 (the layouts the batched BCE kernels consume). A 4-bit
+ * matmul tile frozen by a plan holds its weights nibble-packed in q4
+ * instead of q8, half the bytes.
  */
 struct QuantizedWeights
 {
@@ -79,9 +82,12 @@ struct QuantizedWeights
     unsigned bits = 8;
     std::vector<std::int8_t> q8;    ///< bits <= 8 (int8 span kernels).
     std::vector<std::int32_t> q32;  ///< bits > 8 (scalar datapath).
+    /** 4-bit frozen matmul tiles only (q8 then stays empty): the
+     *  n x k transposed-B tile, two weights a byte. */
+    lut::PackedTile q4;
     /**
-     * Frozen matmul tiles only: q8 read as an n x k transposed-B tile,
-     * its class features summed down each column once at plan compile
+     * Frozen matmul tiles only: the n x k transposed-B tile's class
+     * features summed down each column once at plan compile
      * (core::NetworkPlan::compile), so every executor's factored tile
      * tally reads them instead of reclassifying the weights per call.
      * Empty for conv filter banks and for weights frozen on the fly.
@@ -89,12 +95,33 @@ struct QuantizedWeights
     lut::ColumnFeatures features;
 
     bool narrow() const { return bits <= 8; }
-    std::size_t count() const { return narrow() ? q8.size() : q32.size(); }
-    std::size_t frozenBytes() const
+    /** True when the weights live nibble-packed in q4. */
+    bool packed() const { return q4.rows != 0; }
+    std::size_t
+    count() const
     {
-        return narrow() ? q8.size() : q32.size() * sizeof(std::int32_t);
+        if (!narrow())
+            return q32.size();
+        return packed() ? q4.rows * q4.cols : q8.size();
+    }
+    std::size_t
+    frozenBytes() const
+    {
+        return narrow() ? q8.size() + q4.bytes.size()
+                        : q32.size() * sizeof(std::int32_t);
     }
 };
+
+/**
+ * Quantize rows [@p r0, @p r1) of an n x k matmul tile through @p sq
+ * into @p dst (row-major, k values a row; requires limit <= 127).
+ * Tile element (j, p) is w[j * k + p] (rows in storage order, through
+ * quantize_span), or w[p * n + j] when @p transposed (a row-major
+ * [k][n] matrix read as its transpose).
+ */
+void quantize_tile_rows(const SymQuant &sq, const float *w, std::size_t k,
+                        std::size_t n, bool transposed, std::size_t r0,
+                        std::size_t r1, std::int8_t *dst);
 
 /**
  * Freeze @p n weights in storage order. The scale is chosen by

@@ -36,10 +36,11 @@ PwlTable::evaluate(double x, MicroOpCounts *counts) const
     const PwlSegment &seg = segs[index];
 
     if (counts != nullptr) {
-        counts->lutLookups += 1; // alpha/beta pair fetch
-        counts->romLookups += 1; // alpha * x on the multiply datapath
-        counts->adds += 1;       // + beta
-        counts->cycles += 2;
+        constexpr MicroOpCounts one = evaluationCounts();
+        counts->lutLookups += one.lutLookups;
+        counts->romLookups += one.romLookups;
+        counts->adds += one.adds;
+        counts->cycles += one.cycles;
     }
     return seg.alpha * clamped + seg.beta;
 }

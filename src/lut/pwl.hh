@@ -50,11 +50,27 @@ class PwlTable
     double xmin() const { return _xmin; }
     double xmax() const { return _xmax; }
     unsigned segments() const { return static_cast<unsigned>(segs.size()); }
+    /** Width of one segment, (xmax - xmin) / segments. */
+    double segmentWidth() const { return width; }
+
+    /** What one evaluate() books: the alpha/beta fetch, the multiply,
+     *  the add and two cycles. */
+    static constexpr MicroOpCounts
+    evaluationCounts()
+    {
+        MicroOpCounts c;
+        c.lutLookups = 1; // alpha/beta pair fetch
+        c.romLookups = 1; // alpha * x on the multiply datapath
+        c.adds = 1;       // + beta
+        c.cycles = 2;
+        return c;
+    }
 
     /**
      * Evaluate the approximation; inputs outside the range clamp to the
      * boundary segments (saturating behaviour, correct for sigmoid/tanh
-     * tails and exp underflow).
+     * tails and exp underflow). alpha * x and + beta round
+     * separately (the build never contracts them into one FMA).
      */
     double evaluate(double x, MicroOpCounts *counts = nullptr) const;
 

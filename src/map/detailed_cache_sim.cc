@@ -343,8 +343,14 @@ DetailedCacheSim::runFc(const dnn::Layer &layer,
         dnn::choose_sym(input.data(), input.size(), bits);
     const dnn::SymQuant &qw = weights.scale;
 
+    // A plan's 4-bit tile is nibble-packed: unpack it row by row.
     std::vector<std::vector<std::int8_t>> filters(layer.outFeatures);
     for (unsigned o = 0; o < layer.outFeatures; ++o) {
+        if (weights.packed()) {
+            filters[o].resize(layer.inFeatures);
+            lut::unpack_tile_row(weights.q4, o, filters[o].data());
+            continue;
+        }
         const std::int8_t *row =
             weights.q8.data() + std::size_t(o) * layer.inFeatures;
         filters[o].assign(row, row + layer.inFeatures);

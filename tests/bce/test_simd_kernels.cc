@@ -19,7 +19,11 @@
 
 #include <algorithm>
 #include <barrier>
+#include <climits>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +31,8 @@
 #include "bce/bce.hh"
 #include "bce/simd_kernels.hh"
 #include "lut/datapath_table.hh"
+#include "lut/packing.hh"
+#include "lut/pwl.hh"
 #include "sim/cpuid.hh"
 
 using namespace bfree;
@@ -907,4 +913,246 @@ TEST(SimdKernels, HistogramFoldAndScalarEnginesByteIdentical)
         expect_engines_identical(fold, scalar, ctx);
     }
     sim::reset_simd_level();
+}
+
+// ---------------------------------------------------------------------
+// Packed 4-bit tiles: the nibble kernel against the int8 GEMM
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The int8 scalar products of an m x k by n x k tile accumulated onto
+ *  @p init: the reference every packed kernel must reproduce. */
+std::vector<std::int32_t>
+int8_scalar_products(const std::vector<std::int8_t> &a,
+                     const std::vector<std::int8_t> &bt, std::size_t m,
+                     std::size_t k, std::size_t n,
+                     const std::vector<std::int32_t> &init)
+{
+    std::vector<std::int32_t> out = init;
+    std::vector<std::int16_t> wide;
+    sim::force_simd_level(sim::SimdLevel::Scalar);
+    bce::simd::tile_products(a.data(), bt.data(), out.data(), m, k, n,
+                             wide);
+    sim::reset_simd_level();
+    return out;
+}
+
+/** Packed products at every runnable level against the int8 scalar
+ *  reference, the outputs starting from @p init. */
+void
+expect_packed_exact(const std::vector<std::int8_t> &a,
+                    const std::vector<std::int8_t> &bt, std::size_t m,
+                    std::size_t k, std::size_t n,
+                    const std::vector<std::int32_t> &init,
+                    const std::string &ctx)
+{
+    const std::vector<std::int32_t> want =
+        int8_scalar_products(a, bt, m, k, n, init);
+    lut::PackedTile packed;
+    lut::pack_tile(bt.data(), n, k, packed);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        std::vector<std::int32_t> got = init;
+        std::vector<std::int8_t> row;
+        bce::simd::tile_products(a.data(), packed, got.data(), m, row);
+        EXPECT_EQ(want, got) << ctx << " " << sim::simd_level_name(level);
+    });
+}
+
+/** Weights in [-8, 7]. */
+std::vector<std::int8_t>
+nibble_pattern(std::size_t n, int seed)
+{
+    std::vector<std::int8_t> v = pattern(n, seed, 8);
+    for (std::int8_t &x : v)
+        x = static_cast<std::int8_t>(std::min<int>(x, 7));
+    return v;
+}
+
+} // namespace
+
+TEST(PackedTile, RowsRoundTripAtEveryWidth)
+{
+    // Every row length through two full groups and a half group, the
+    // whole [-8, 7] range; the padding reads as zero weights.
+    for (std::size_t k = 0; k <= 300; ++k) {
+        const std::size_t n = 3;
+        const std::vector<std::int8_t> m =
+            nibble_pattern(n * k, static_cast<int>(k));
+        lut::PackedTile t;
+        lut::pack_tile(m.data(), n, k, t);
+        ASSERT_EQ(n * lut::PackedTile::rowBytes(k), t.bytes.size());
+        std::vector<std::int8_t> row(k);
+        for (std::size_t r = 0; r < n; ++r) {
+            lut::unpack_tile_row(t, r, row.data());
+            ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                                   m.begin() + static_cast<long>(r * k)))
+                << "k " << k << " row " << r;
+        }
+    }
+    // The layout itself: +7 stores nibble 15 and -8 nibble 0; in a
+    // full group byte b holds weights b and 64 + b, in a half group b
+    // and 32 + b; padding stores 8.
+    const std::vector<std::int8_t> sevens(128, 7);
+    lut::PackedTile t;
+    lut::pack_tile(sevens.data(), 1, 128, t);
+    EXPECT_EQ(0xFF, t.bytes[0]);
+    const std::vector<std::int8_t> low(100, -8);
+    lut::pack_tile(low.data(), 1, 100, t);
+    EXPECT_EQ(0x00, t.bytes[0]);
+    EXPECT_EQ(0x80, t.bytes[36]); // weight 36 and padding weight 100
+    const std::vector<std::int8_t> half(20, -8);
+    lut::pack_tile(half.data(), 1, 20, t);
+    ASSERT_EQ(32u, t.bytes.size());
+    EXPECT_EQ(0x80, t.bytes[5]);  // weight 5 and padding weight 37
+    EXPECT_EQ(0x88, t.bytes[25]); // padding weights 25 and 57
+}
+
+TEST(PackedTile, ProductsMatchInt8AtEveryLevel)
+{
+    // Ragged reduction lengths on both sides of every group and half
+    // group boundary plus the LSTM gate row, 1, 3 and 8 A rows, and
+    // every remainder of the four-row BT passes. A spans the whole
+    // int8 range, -128 included.
+    for (const std::size_t k : {1, 63, 64, 65, 127, 128, 129, 1063})
+        for (const std::size_t m : {1, 3, 8})
+            for (const std::size_t n : {1, 3, 4, 5, 9}) {
+                const int seed = static_cast<int>(k * 7 + m * 3 + n);
+                std::vector<std::int32_t> init(m * n);
+                for (std::size_t i = 0; i < init.size(); ++i)
+                    init[i] = static_cast<std::int32_t>(i * 13) - 40;
+                expect_packed_exact(pattern(m * k, seed, 128),
+                                    nibble_pattern(n * k, seed + 1), m, k,
+                                    n, init, shape_name(m, k, n, 4));
+                if (HasFatalFailure())
+                    return;
+            }
+}
+
+TEST(PackedTile, ExtremeOperandsWrapLikeInt8AtEveryLevel)
+{
+    // All-+7 and all--7 weights (nibbles 15 and 1), alternating ones,
+    // and -8, against A = -128 everywhere (the largest maddubs pair
+    // sums, 2 * 15 * 128 = 3840) and A = 127; outputs start next to
+    // INT32_MAX / INT32_MIN so the accumulation wraps mod 2^32.
+    const std::size_t m = 2, k = 1063, n = 6;
+    const std::vector<std::int32_t> init = {
+        INT32_MAX, INT32_MAX - 5, INT32_MIN, INT32_MIN + 3, 0, -1,
+        INT32_MAX, INT32_MIN, 1, 2, 3, 4};
+    for (const int av : {-128, 127}) {
+        std::vector<std::int8_t> a(m * k, static_cast<std::int8_t>(av));
+        a[k + 5] = -128; // the second row mixes both extremes
+        std::vector<std::int8_t> bt(n * k);
+        for (std::size_t t = 0; t < k; ++t) {
+            bt[t] = 7;
+            bt[k + t] = -7;
+            bt[2 * k + t] = t % 2 ? 7 : -7;
+            bt[3 * k + t] = -8;
+            bt[4 * k + t] = t % 3 ? -8 : 7;
+            bt[5 * k + t] = 0;
+        }
+        expect_packed_exact(a, bt, m, k, n, init,
+                            "extremes A=" + std::to_string(av));
+    }
+}
+
+// ---------------------------------------------------------------------
+// PWL spans: the vector kernel against the scalar evaluate
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Inputs that probe a table everywhere the scalar evaluate branches:
+ *  both clamped tails (infinities included), every segment edge and
+ *  its neighbours one ulp either side, signed zeros, and a sweep. */
+std::vector<double>
+pwl_probe_inputs(const lut::PwlTable &t)
+{
+    std::vector<double> x = {
+        -1e300, -1e9, t.xmin() - 1.0, t.xmin(), t.xmax(), t.xmax() + 1.0,
+        1e9, 1e300, 0.0, -0.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min()};
+    for (unsigned s = 0; s <= t.segments(); ++s) {
+        const double edge = t.xmin() + s * t.segmentWidth();
+        x.push_back(edge);
+        x.push_back(std::nextafter(edge, -1e300));
+        x.push_back(std::nextafter(edge, 1e300));
+    }
+    for (int i = 0; i < 2000; ++i)
+        x.push_back(-20.0 + 40.0 * i / 1999.0 + 1e-7 * (i % 13));
+    return x;
+}
+
+/** Bitwise equality of two double vectors (memcmp; empty ones too). */
+bool
+same_bits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size()
+           && (a.empty()
+               || std::memcmp(a.data(), b.data(), a.size() * sizeof(double))
+                      == 0);
+}
+
+} // namespace
+
+TEST(PwlSpan, BitIdenticalToEvaluateAtEveryLevel)
+{
+    for (const lut::PwlTable &table :
+         {lut::make_sigmoid_table(), lut::make_tanh_table(),
+          lut::make_exp_table()}) {
+        const std::vector<double> x = pwl_probe_inputs(table);
+        std::vector<double> want(x.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            want[i] = table.evaluate(x[i]);
+        for_each_runnable_level([&](sim::SimdLevel level) {
+            // Every start offset of the vector step, so each input is
+            // met in a lane and in the scalar tail.
+            for (std::size_t off = 0; off < 9; ++off) {
+                std::vector<double> got(x.size() - off);
+                bce::simd::pwl_span(table, x.data() + off, got.size(),
+                                    got.data());
+                ASSERT_EQ(0, std::memcmp(got.data(), want.data() + off,
+                                         got.size() * sizeof(double)))
+                    << table.name() << " offset " << off << " "
+                    << sim::simd_level_name(level);
+            }
+        });
+    }
+}
+
+TEST(PwlSpan, BceSpanBooksWhatPerElementCallsBook)
+{
+    // n in {0, 1, 7, 8, 9, 1024}: empty, scalar tail only, one short of
+    // a vector step, exactly one, one past, and many. Outputs memcmp-
+    // equal, BceStats and energy equal, in place and out of place.
+    const lut::PwlTable table = lut::make_sigmoid_table();
+    const std::vector<double> probe = pwl_probe_inputs(table);
+    for_each_runnable_level([&](sim::SimdLevel level) {
+        for (const std::size_t n : {0, 1, 7, 8, 9, 1024}) {
+            const std::string ctx = std::string(sim::simd_level_name(level))
+                                    + " n " + std::to_string(n);
+            std::vector<double> x(probe.begin(),
+                                  probe.begin() + static_cast<long>(n));
+            Engine each(ExecTier::Tiered), span(ExecTier::Tiered);
+            each.bce.setMode(BceMode::Special);
+            span.bce.setMode(BceMode::Special);
+            std::vector<double> want(n), got(n);
+            for (std::size_t i = 0; i < n; ++i)
+                want[i] = each.bce.evaluatePwl(table, x[i]);
+            span.bce.evaluatePwlSpan(table, x.data(), n, got.data());
+            EXPECT_TRUE(same_bits(want, got)) << ctx;
+            EXPECT_EQ(each.bce.stats().specialLutEvents,
+                      span.bce.stats().specialLutEvents)
+                << ctx;
+            EXPECT_EQ(each.bce.stats().cyclesByMode,
+                      span.bce.stats().cyclesByMode)
+                << ctx;
+            expect_engines_identical(each, span, ctx);
+            span.bce.evaluatePwlSpan(table, x.data(), n, x.data());
+            EXPECT_TRUE(same_bits(want, x)) << ctx << " in place";
+        }
+    });
 }

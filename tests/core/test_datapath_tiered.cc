@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "lut/division.hh"
 #include "lut/fixed_point.hh"
 #include "lut/pwl.hh"
+#include "sim/cpuid.hh"
 #include "sim/parallel.hh"
 
 using namespace bfree;
@@ -498,6 +500,74 @@ TEST(TieredNetwork, LstmStepBitExact)
         }
     }
     expect_stats_equal(legacy.stats(), tiered.stats());
+}
+
+TEST(TieredNetwork, FourBitLstmPlanMatchesLegacyAtEveryLevel)
+{
+    // A 4-bit plan freezes the gate tile nibble-packed: the Tiered step
+    // runs the packed kernel and the PWL spans, the Legacy step unpacks
+    // one row at a time and walks the analyzer. Input and hidden sizes
+    // put the gate row (input + hidden) on both sides of 32, 64 and
+    // 128 weights. h and c bitwise, stats and energy equal.
+    const std::pair<unsigned, unsigned> shapes[] = {
+        {7, 25}, {1, 63}, {31, 34}, {3, 125}, {64, 65}, {30, 100}};
+    for (const auto &[in, hid] : shapes) {
+        dnn::Network net("lstm4", {in, 1, 1});
+        net.add(dnn::make_lstm_cell("cell", in, hid));
+        sim::Rng rng(in * 1000 + hid);
+        const core::NetworkWeights weights = core::random_weights(net, rng);
+        const core::NetworkPlan plan =
+            core::NetworkPlan::compile(net, weights, 4);
+        ASSERT_TRUE(plan.layers()[0].frozen[0].packed());
+        std::vector<std::vector<float>> xs(3, std::vector<float>(in));
+        for (auto &x : xs)
+            for (float &v : x)
+                v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+
+        const auto run = [&](ExecTier tier, std::vector<dnn::LstmState> &out,
+                             bce::BceStats &stats, double &joules) {
+            core::FunctionalExecutor exec({}, {}, tier);
+            dnn::LstmState s;
+            s.h.assign(hid, 0.0f);
+            s.c.assign(hid, 0.0f);
+            for (const auto &x : xs) {
+                s = exec.runLstmStep(plan, 0, x, s);
+                out.push_back(s);
+            }
+            stats = exec.stats();
+            joules = exec.energy().total();
+        };
+        std::vector<dnn::LstmState> want;
+        bce::BceStats wantStats;
+        double wantJ = 0.0;
+        run(ExecTier::Legacy, want, wantStats, wantJ);
+        for (const sim::SimdLevel level :
+             {sim::SimdLevel::Scalar, sim::SimdLevel::Avx2,
+              sim::SimdLevel::Avx512}) {
+            if (!sim::simd_level_compiled(level)
+                || !sim::simd_level_supported(level))
+                continue;
+            sim::force_simd_level(level);
+            const std::string ctx = std::to_string(in) + "+"
+                                    + std::to_string(hid) + " "
+                                    + sim::simd_level_name(level);
+            std::vector<dnn::LstmState> got;
+            bce::BceStats gotStats;
+            double gotJ = 0.0;
+            run(ExecTier::Tiered, got, gotStats, gotJ);
+            for (std::size_t t = 0; t < xs.size(); ++t) {
+                EXPECT_EQ(0, std::memcmp(want[t].h.data(), got[t].h.data(),
+                                         hid * sizeof(float)))
+                    << ctx << " t=" << t;
+                EXPECT_EQ(0, std::memcmp(want[t].c.data(), got[t].c.data(),
+                                         hid * sizeof(float)))
+                    << ctx << " t=" << t;
+            }
+            expect_stats_equal(wantStats, gotStats);
+            EXPECT_EQ(wantJ, gotJ) << ctx;
+        }
+        sim::reset_simd_level();
+    }
 }
 
 TEST(TieredNetwork, AttentionBitExact)

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bce/bce.hh"
+#include "bce/simd_kernels.hh"
 #include "core/functional.hh"
 #include "dnn/model_zoo.hh"
 
@@ -432,6 +433,106 @@ TEST(BceDotProduct, WarmCallsMakeZeroHeapAllocations)
                 << bits << "-bit, tier " << static_cast<int>(tier);
         }
     }
+}
+
+TEST(NetworkPlan, WarmLstmStepAllocatesOnlyTheReturnedState)
+{
+    // The step's [x, h] row, quantized row, accumulators and gate
+    // pre-activations come from the arena: a warm step allocates the
+    // returned h and c and nothing else, at 4 bits (packed tile) and
+    // at 8 bits (int8 tile).
+    const Network net = make_lstm(39, 96, 4);
+    bfree::sim::Rng rng(61);
+    const NetworkWeights weights = random_weights(net, rng);
+    std::vector<float> x(39);
+    for (float &v : x)
+        v = static_cast<float>(rng.uniformReal(-1.0, 1.0));
+    for (const unsigned bits : {4u, 8u}) {
+        const NetworkPlan plan = NetworkPlan::compile(net, weights, bits);
+        FunctionalExecutor exec;
+        LstmState s;
+        s.h.assign(96, 0.0f);
+        s.c.assign(96, 0.0f);
+        s = exec.runLstmStep(plan, 0, x, s); // sizes arena and scratch
+        s = exec.runLstmStep(plan, 0, x, s);
+        const std::uint64_t before =
+            g_heap_allocs.load(std::memory_order_relaxed);
+        LstmState next = exec.runLstmStep(plan, 0, x, s);
+        EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed) - before,
+                  2u)
+            << bits << "-bit";
+        EXPECT_EQ(next.h.size(), 96u);
+    }
+}
+
+TEST(NetworkPlan, FourBitMatmulTilesAreNibblePacked)
+{
+    // The zoo's LSTM-1024 at 4 bits: the 4096 x 1063 gate tile holds
+    // no int8 bytes, only nibbles, every row padded to 1088 weights.
+    {
+        const Network net = make_lstm();
+        bfree::sim::Rng rng(3);
+        const NetworkPlan plan =
+            NetworkPlan::compile(net, random_weights(net, rng), 4, false);
+        const QuantizedWeights &w = plan.layers()[0].frozen[0];
+        EXPECT_TRUE(w.q8.empty());
+        EXPECT_TRUE(w.packed());
+        EXPECT_EQ(w.q4.rows, 4096u);
+        EXPECT_EQ(w.q4.cols, 1063u);
+        EXPECT_EQ(w.frozenBytes(), 4096u * 544u);
+        EXPECT_EQ(w.count(), 4096u * 1063u);
+        EXPECT_TRUE(w.features.describes(4096, 1063));
+        EXPECT_EQ(plan.stats().frozenWeightBytes, 4096u * 544u);
+    }
+
+    // FC, LSTM and attention tiles of ragged widths, packed one
+    // feature block at a time: the nibbles unpack to exactly the int8
+    // freeze and the features are the whole tile's; conv stays int8.
+    Network net("mixed4", {1, 6, 6});
+    net.add(make_conv("conv", {1, 6, 6}, 2, 3, 1, 1));
+    net.add(make_fc("fc", 72, 150));
+    bfree::sim::Rng rng(7);
+    NetworkWeights weights = random_weights(net, rng);
+    const NetworkPlan plan = NetworkPlan::compile(net, weights, 4);
+    EXPECT_FALSE(plan.layers()[0].frozen[0].packed());
+    EXPECT_EQ(plan.layers()[0].frozen[0].q8.size(), 2u * 9u);
+
+    Network lstm = make_lstm(45, 70, 2);
+    const NetworkWeights lw = random_weights(lstm, rng);
+    const NetworkPlan lplan = NetworkPlan::compile(lstm, lw, 4);
+    Network attn("attn4", {1, 4, 72});
+    attn.add(make_attention("attn", 4, 72, 1));
+    const NetworkWeights aw = random_weights(attn, rng);
+    const NetworkPlan aplan = NetworkPlan::compile(attn, aw, 4);
+
+    const auto expect_tile = [](const QuantizedWeights &got,
+                                const QuantizedWeights &ref, std::size_t n,
+                                std::size_t k, const char *what) {
+        ASSERT_TRUE(got.packed()) << what;
+        EXPECT_TRUE(got.q8.empty()) << what;
+        EXPECT_EQ(got.scale.scale, ref.scale.scale) << what;
+        std::vector<std::int8_t> row(k);
+        for (std::size_t j = 0; j < n; ++j) {
+            bfree::lut::unpack_tile_row(got.q4, j, row.data());
+            ASSERT_EQ(0, std::memcmp(row.data(), ref.q8.data() + j * k, k))
+                << what << " row " << j;
+        }
+        bfree::lut::ColumnFeatures f;
+        bfree::bce::simd::column_features(ref.q8.data(), n, k, f);
+        EXPECT_EQ(f.sums, got.features.sums) << what;
+        EXPECT_EQ(f.maxMagnitude, got.features.maxMagnitude) << what;
+    };
+    expect_tile(plan.layers()[1].frozen[0],
+                freeze_weights(weights[1].weights.data(), 72 * 150, 4), 150,
+                72, "fc");
+    expect_tile(lplan.layers()[0].frozen[0],
+                freeze_weights(lw[0].weights.data(), 4 * 70 * 115, 4), 280,
+                115, "lstm");
+    for (unsigned b = 0; b < 4; ++b)
+        expect_tile(aplan.layers()[0].frozen[b],
+                    freeze_weights_transposed(
+                        aw[0].weights.data() + b * 72 * 72, 72, 72, 4),
+                    72, 72, "attention");
 }
 
 TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)

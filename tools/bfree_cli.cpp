@@ -56,7 +56,9 @@ usage(std::ostream &os)
           "  --plan-stats      compile a functional execution plan and\n"
           "                    print its footprint (arena bytes,\n"
           "                    per-layer scratch, frozen weights,\n"
-          "                    amortization counts), then exit\n"
+          "                    amortization counts), then exit; at\n"
+          "                    --precision 4, FC/LSTM/attention\n"
+          "                    weights take half a byte each\n"
           "  --serve-stats     replay a fixed-seed arrival trace\n"
           "                    through the serving front-end (request\n"
           "                    queue + continuous batcher) and dump the\n"
