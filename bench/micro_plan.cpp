@@ -82,9 +82,8 @@ median(std::vector<double> v)
 
 /**
  * Small CNN covering overlapping (3x3 stride 1), disjoint (2x2 stride
- * 2) and 1x1 conv windows; every layer resolves to the elided front
- * end. The --dump-stats block runs it so the CI BFREE_FORCE_FRONTEND
- * sweep byte-compares conv statistics across legacy/elided, not just
+ * 2) and 1x1 conv windows. The --dump-stats block runs it so the CI
+ * ISA and thread-count sweeps byte-compare conv statistics, not just
  * the FC-only MLP.
  */
 dnn::Network
@@ -253,10 +252,9 @@ main(int argc, char **argv)
         std::printf("output_checksum %016llx\n",
                     static_cast<unsigned long long>(osum));
 
-        // Conv block: all three front ends must produce these exact
-        // bytes (the patch fed to the datapath is identical either
-        // way), so this section byte-compares across the CI
-        // BFREE_FORCE_FRONTEND sweep as well as across thread counts.
+        // Conv block: every ISA level and thread count must produce
+        // these exact bytes, so this section byte-compares across the
+        // CI BFREE_FORCE_ISA sweep as well as across thread counts.
         const dnn::Network cnn = make_cnn();
         sim::Rng crng(10);
         const core::NetworkWeights cweights =

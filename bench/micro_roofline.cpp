@@ -26,18 +26,13 @@
  *    gate shape (1 x 1063 by 1063 x 4096) at 4 bits and the BERT-base
  *    FFN shape (1 x 768 by 768 x 3072) at 8 bits.
  *
- *  - stages / stages_<mode>: whole-image wall time of one conv layer
- *    split into marshal (everything that produces int8 patches:
- *    quantize, im2col, staging, span materialization) vs the tiered
- *    span kernels, measured once per conv front-end mode (legacy,
- *    elided) at the resolved ISA. Each mode section also
- *    carries its modeled marshal traffic in bytes and the bandwidth
- *    that implies, so marshal cost can be cross-checked against the
- *    triad roof. The "stages" summary keeps the legacy per-stage keys
- *    for continuity and adds the auto-resolved mode's
- *    front_half_fraction and the e2e images/s uplift of auto over
- *    forced-legacy. The two modes must produce identical kernel
- *    checksums (byte-identical patches) or the run exits 2.
+ *  - stages: whole-image wall time of one conv layer split into
+ *    marshal (everything that produces int8 patches: plane quantize,
+ *    zero-padded staging, span materialization) vs the tiered span
+ *    kernels, at the resolved ISA, through the same elided front end
+ *    core/functional.cc runs. The section also carries the modeled
+ *    marshal traffic in bytes and the bandwidth that implies, so
+ *    marshal cost can be cross-checked against the triad roof.
  *
  *  - roofline: the tiered MAC streams two int8 operands per multiply
  *    (the tables and tallies stay cache-resident), so the bandwidth
@@ -46,12 +41,15 @@
  *
  *  - scaling: aggregate MAC/s with 1/2/4/8 ThreadPool workers, each
  *    owning a private engine (the production batch-dispatch shape).
- *    On a 1-hardware-thread host the efficiency figures could only
- *    measure oversubscription, so the section records skipped = 1 and
- *    nothing else is emitted or gated.
+ *    The pool and the engines are built, and one untimed warm-up pass
+ *    seeds each engine's tables, before the clock starts, so the
+ *    figures are steady state only. On a 1-hardware-thread host the
+ *    efficiency figures could only measure oversubscription, so the
+ *    section records skipped = 1 and nothing else is emitted or gated.
  *
  * With --check-baseline FILE the run exits 1 on a >5x collapse of any
- * kernel point present in both the run and the baseline.
+ * kernel point present in both the run and the baseline, of the
+ * stages images/s, or of the scaling t8_over_t1.
  */
 
 #include <algorithm>
@@ -59,6 +57,7 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -209,7 +208,7 @@ measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
     return secs > 0.0 ? macs / secs : 0.0;
 }
 
-/** Per-image marshal cost of one conv front-end mode. */
+/** Per-image marshal cost of the conv front end. */
 struct MarshalResult
 {
     double quantize = 0.0; ///< Plane quantize share.
@@ -220,24 +219,18 @@ struct MarshalResult
      *  padded taps counted as writes only on the read side — an upper
      *  bound within a few percent for padded layers). */
     double marshalBytes = 0.0;
-
-    /** FNV-1a over the marshalled patch bytes: the byte-identity
-     *  witness compared across modes. */
-    std::uint64_t patchFnv = 0;
 };
 
 /**
  * The stage-study rig: one conv layer (3x3 stride-1 pad-1, 32x16x16
- * -> 32 channels) with the production front half of core/functional.cc
- * replicated per mode, marshalling every output position's int8 patch
- * into one buffer — plane quantize + row-run im2col for legacy, plane
- * quantize + row staging + slack8 span materialization for elided.
+ * -> 32 channels) with the front half of core/functional.cc
+ * replicated — plane quantize, zero-padded staging and slack8 span
+ * materialization — marshalling every output position's int8 patch
+ * into one buffer.
  *
  * Marshal and kernel are timed SEPARATELY: the kernel loop reads only
- * the marshalled patch buffer, and the modes produce byte-identical
- * patches (witnessed by patchFnv), so one shared kernel measurement
- * serves every mode and the cross-mode comparison is free of kernel
- * timing noise.
+ * the marshalled patch buffer, so its timing carries no marshal noise
+ * and vice versa.
  */
 struct StageRig
 {
@@ -279,96 +272,59 @@ struct StageRig
         view.slack8 = true;
     }
 
-    /** One whole-image marshal pass in @p mode; returns the quantize
-     *  share of the pass's wall time. */
+    /** One whole-image marshal pass; returns the quantize share of
+     *  the pass's wall time. */
     double
-    marshal_once(dnn::FrontendMode mode)
+    marshal_once()
     {
-        double quantize = 0.0;
         const auto t0 = std::chrono::steady_clock::now();
-        switch (mode) {
-          case dnn::FrontendMode::Legacy:
-            dnn::quantize_span(sq, in.data(), in_elems, qin.data());
-            quantize = seconds_since(t0);
-            for (unsigned oh = 0; oh < out.h; ++oh)
-                for (unsigned ow = 0; ow < out.w; ++ow)
-                    dnn::im2col_patch_i8(
-                        l, qin.data(), oh, ow,
-                        patches.data()
-                            + (std::size_t(oh) * out.w + ow)
-                                  * patch_len);
-            break;
-          case dnn::FrontendMode::Elided: {
-            dnn::quantize_span(sq, in.data(), in_elems, qin.data());
-            quantize = seconds_since(t0);
-            const std::int8_t *plane = qin.data();
-            if (el.staged) {
-                dnn::stage_plane_i8(l, qin.data(), staging.data());
-                plane = staging.data();
-            }
-            for (unsigned oh = 0; oh < out.h; ++oh) {
-                view.base = plane
-                            + std::size_t(oh) * l.strideH * el.rowBytes;
-                bce::simd::materialize_span_block(
-                    view, out.w, l.strideW,
-                    patches.data()
-                        + std::size_t(oh) * out.w * patch_len,
-                    patch_len);
-            }
-            break;
-          }
+        dnn::quantize_span(sq, in.data(), in_elems, qin.data());
+        const double quantize = seconds_since(t0);
+        const std::int8_t *plane = qin.data();
+        if (el.staged) {
+            dnn::stage_plane_i8(l, qin.data(), staging.data());
+            plane = staging.data();
+        }
+        for (unsigned oh = 0; oh < out.h; ++oh) {
+            view.base = plane + std::size_t(oh) * l.strideH * el.rowBytes;
+            bce::simd::materialize_span_block(
+                view, out.w, l.strideW,
+                patches.data() + std::size_t(oh) * out.w * patch_len,
+                patch_len);
         }
         return quantize;
     }
 
-    /** Per-mode marshal timing: @p reps whole-image passes. */
+    /** Marshal timing: @p reps whole-image passes. */
     MarshalResult
-    measure_marshal(dnn::FrontendMode mode, std::size_t reps)
+    measure_marshal(std::size_t reps)
     {
         MarshalResult r;
-        marshal_once(mode); // warm-up untimed
+        marshal_once(); // warm-up untimed
         const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < reps; ++i)
-            r.quantize += marshal_once(mode);
+            r.quantize += marshal_once();
         r.marshal = seconds_since(t0);
         const double per = 1.0 / static_cast<double>(reps);
         r.quantize *= per;
         r.marshal *= per;
 
-        std::uint64_t h = 1469598103934665603ull; // FNV offset basis
-        for (std::size_t i = 0; i < positions * patch_len; ++i) {
-            h ^= static_cast<std::uint8_t>(patches[i]);
-            h *= 1099511628211ull;
-        }
-        r.patchFnv = h;
-
         // Modeled marshal traffic per image, all counted as touched
-        // bytes (4 B read + 1 B written per quantized tap; 1 B each
-        // way per copied patch byte; staging writes its zero-padded
-        // strip and reads the in-bounds plane rows).
+        // bytes: 4 B read + 1 B written per quantized tap; 1 B each
+        // way per copied patch byte; staging writes the padded plane
+        // and reads the quantized one.
         const double patch_bytes = static_cast<double>(positions)
                                    * static_cast<double>(patch_len);
-        switch (mode) {
-          case dnn::FrontendMode::Legacy:
-            r.marshalBytes = 5.0 * static_cast<double>(in_elems)
-                             + 2.0 * patch_bytes;
-            break;
-          case dnn::FrontendMode::Elided:
-            // Quantize + one whole-plane staging pass (write the
-            // padded plane, read the quantized one) + the patch copy.
-            r.marshalBytes =
-                5.0 * static_cast<double>(in_elems) + 2.0 * patch_bytes
-                + (el.staged
-                       ? static_cast<double>(el.stagingBytes)
-                             + static_cast<double>(in_elems)
-                       : 0.0);
-            break;
-        }
+        r.marshalBytes =
+            5.0 * static_cast<double>(in_elems) + 2.0 * patch_bytes
+            + (el.staged ? static_cast<double>(el.stagingBytes)
+                               + static_cast<double>(in_elems)
+                         : 0.0);
         return r;
     }
 
-    /** Shared kernel timing: per-image seconds of the tiered span
-     *  kernel over whatever patches are currently marshalled. */
+    /** Kernel timing: per-image seconds of the tiered span kernel
+     *  over the marshalled patches. */
     double
     measure_kernel(std::size_t reps, std::int64_t &checksum)
     {
@@ -393,7 +349,9 @@ struct StageRig
 /**
  * Aggregate MAC/s with @p threads pool workers, each running the
  * conv_8bit span workload on a private engine — the shape
- * run_functional_batch uses for batched inference.
+ * run_functional_batch uses for batched inference. Pool start-up,
+ * engine construction and each engine's first-call table seeding
+ * happen before the clock starts.
  */
 double
 measure_scaling_macs_per_s(unsigned threads, std::size_t reps_per_thread)
@@ -402,21 +360,32 @@ measure_scaling_macs_per_s(unsigned threads, std::size_t reps_per_thread)
     const std::vector<std::int8_t> a = pattern(len, 1, 127);
     const std::vector<std::int8_t> b = pattern(len, 2, 127);
 
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(threads);
+    sim::ThreadPool pool(threads);
+    std::vector<std::unique_ptr<Engine>> engines;
+    engines.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        engines.push_back(std::make_unique<Engine>(bce::BceMode::Conv));
     std::vector<std::int64_t> sink(threads, 0);
-    for (unsigned t = 0; t < threads; ++t) {
-        tasks.push_back([&, t] {
-            Engine e(bce::BceMode::Conv);
-            for (std::size_t r = 0; r < reps_per_thread; ++r)
-                sink[t] += e.bce.dotProductSpan(a.data(), b.data(), len,
-                                                8);
-        });
-    }
+    auto pass = [&](std::size_t reps) {
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t) {
+            // Accumulate locally: adjacent sink slots share a cache
+            // line, and a store per call would bounce it between cores.
+            tasks.push_back([&, t, reps] {
+                std::int64_t acc = 0;
+                for (std::size_t r = 0; r < reps; ++r)
+                    acc += engines[t]->bce.dotProductSpan(
+                        a.data(), b.data(), len, 8);
+                sink[t] += acc;
+            });
+        }
+        pool.run(std::move(tasks));
+    };
+    pass(1); // warm-up: table seeding stays untimed
 
     const auto start = std::chrono::steady_clock::now();
-    sim::ThreadPool pool(threads);
-    pool.run(std::move(tasks));
+    pass(reps_per_thread);
     const double secs = seconds_since(start);
     const double macs = static_cast<double>(threads)
                         * static_cast<double>(reps_per_thread) * len;
@@ -529,108 +498,39 @@ main(int argc, char **argv)
     }
     sim::reset_simd_level();
 
-    // ---- Per-mode front-half breakdown at the resolved ISA ----------
+    // ---- Front-half breakdown at the resolved ISA -------------------
     {
         const std::size_t marshal_reps = 400;
         const std::size_t kernel_reps = 40;
-        constexpr dnn::FrontendMode modes[] = {dnn::FrontendMode::Legacy,
-                                               dnn::FrontendMode::Elided};
 
         StageRig rig;
-        const dnn::FrontendMode auto_mode =
-            dnn::resolve_frontend(rig.l, 8);
-
-        MarshalResult by_mode[2];
-        for (std::size_t m = 0; m < 2; ++m) {
-            const dnn::FrontendMode mode = modes[m];
-            by_mode[m] = rig.measure_marshal(mode, marshal_reps);
-            // Byte-identity gate: every mode must marshal the same
-            // patch bytes.
-            if (by_mode[m].patchFnv != by_mode[0].patchFnv) {
-                std::cerr << "stages_"
-                          << dnn::frontend_mode_name(mode)
-                          << ": patch bytes diverged from legacy "
-                             "(front-end modes are not byte-identical)"
-                             "\n";
-                return 2;
-            }
-        }
-        // One shared kernel timing: the kernel reads identical patch
-        // bytes whichever mode marshalled them, so measuring it once
-        // keeps kernel noise out of the cross-mode comparison.
+        const MarshalResult s = rig.measure_marshal(marshal_reps);
         std::int64_t stage_checksum = 0;
         const double kernel =
             rig.measure_kernel(kernel_reps, stage_checksum);
-
-        for (std::size_t m = 0; m < 2; ++m) {
-            const dnn::FrontendMode mode = modes[m];
-            const MarshalResult &s = by_mode[m];
-            const double total = s.marshal + kernel;
-            const std::string sec =
-                std::string("stages_") + dnn::frontend_mode_name(mode);
-            json.set(sec, "frontend_mode",
-                     static_cast<double>(
-                         static_cast<std::size_t>(mode)));
-            json.set(sec, "quantize_ms_per_image", 1e3 * s.quantize);
-            json.set(sec, "marshal_ms_per_image", 1e3 * s.marshal);
-            json.set(sec, "kernel_ms_per_image", 1e3 * kernel);
-            json.set(sec, "total_ms_per_image", 1e3 * total);
-            json.set(sec, "images_per_s",
-                     total > 0.0 ? 1.0 / total : 0.0);
-            json.set(sec, "front_half_fraction",
-                     total > 0.0 ? s.marshal / total : 0.0);
-            json.set(sec, "marshal_bytes_per_image", s.marshalBytes);
-            const double marshal_bw =
-                s.marshal > 0.0 ? s.marshalBytes / s.marshal : 0.0;
-            json.set(sec, "marshal_bytes_per_s", marshal_bw);
-            json.set(sec, "marshal_bw_fraction_of_triad",
-                     membw > 0.0 ? marshal_bw / membw : 0.0);
-            char line[220];
-            std::snprintf(
-                line, sizeof(line),
-                "stages[%-6s]%s marshal %.4f ms  kernel %.3f ms  "
-                "front-half %4.1f%%  %6.1f im/s  marshal bw %5.2f "
-                "GB/s\n",
-                dnn::frontend_mode_name(mode),
-                mode == auto_mode ? "*" : " ", 1e3 * s.marshal,
-                1e3 * kernel,
-                total > 0.0 ? 100.0 * s.marshal / total : 0.0,
-                total > 0.0 ? 1.0 / total : 0.0, marshal_bw / 1e9);
-            std::cout << line;
-        }
-
-        // Summary: legacy per-stage keys for continuity with PR 9, the
-        // auto-resolved mode's figures (what production runs), and the
-        // e2e uplift of auto over forced-legacy.
-        const MarshalResult &lg = by_mode[0];
-        const MarshalResult &au =
-            by_mode[auto_mode == dnn::FrontendMode::Legacy ? 0 : 1];
-        const double legacy_total = lg.marshal + kernel;
-        const double auto_total = au.marshal + kernel;
-        json.set("stages", "quantize_ms_per_image", 1e3 * lg.quantize);
-        json.set("stages", "im2col_ms_per_image",
-                 1e3 * (lg.marshal - lg.quantize));
+        const double total = s.marshal + kernel;
+        const double marshal_bw =
+            s.marshal > 0.0 ? s.marshalBytes / s.marshal : 0.0;
+        json.set("stages", "quantize_ms_per_image", 1e3 * s.quantize);
+        json.set("stages", "marshal_ms_per_image", 1e3 * s.marshal);
         json.set("stages", "kernel_ms_per_image", 1e3 * kernel);
-        json.set("stages", "auto_frontend_mode",
-                 static_cast<double>(auto_mode));
+        json.set("stages", "total_ms_per_image", 1e3 * total);
+        json.set("stages", "images_per_s",
+                 total > 0.0 ? 1.0 / total : 0.0);
         json.set("stages", "front_half_fraction",
-                 auto_total > 0.0 ? au.marshal / auto_total : 0.0);
-        json.set("stages", "images_per_s_legacy",
-                 legacy_total > 0.0 ? 1.0 / legacy_total : 0.0);
-        json.set("stages", "images_per_s_auto",
-                 auto_total > 0.0 ? 1.0 / auto_total : 0.0);
-        json.set("stages", "auto_over_legacy_images_per_s",
-                 auto_total > 0.0 ? legacy_total / auto_total : 0.0);
+                 total > 0.0 ? s.marshal / total : 0.0);
+        json.set("stages", "marshal_bytes_per_image", s.marshalBytes);
+        json.set("stages", "marshal_bytes_per_s", marshal_bw);
+        json.set("stages", "marshal_bw_fraction_of_triad",
+                 membw > 0.0 ? marshal_bw / membw : 0.0);
         char line[200];
         std::snprintf(line, sizeof(line),
-                      "stages: auto=%s  front-half %4.2f%%  e2e uplift "
-                      "%.3fx over legacy\n",
-                      dnn::frontend_mode_name(auto_mode),
-                      auto_total > 0.0
-                          ? 100.0 * au.marshal / auto_total
-                          : 0.0,
-                      auto_total > 0.0 ? legacy_total / auto_total
-                                       : 0.0);
+                      "stages: marshal %.4f ms  kernel %.3f ms  "
+                      "front-half %4.1f%%  %6.1f im/s  marshal bw "
+                      "%5.2f GB/s\n",
+                      1e3 * s.marshal, 1e3 * kernel,
+                      total > 0.0 ? 100.0 * s.marshal / total : 0.0,
+                      total > 0.0 ? 1.0 / total : 0.0, marshal_bw / 1e9);
         std::cout << line;
     }
 
@@ -719,14 +619,12 @@ main(int argc, char **argv)
         }
         {
             // The front half must not regress: a >5x collapse of the
-            // production (auto) whole-image rate fails like a kernel
-            // collapse would.
-            const double now =
-                json.get("stages", "images_per_s_auto", 0.0);
+            // whole-image rate fails like a kernel collapse would.
+            const double now = json.get("stages", "images_per_s", 0.0);
             const double ref =
-                baseline.get("stages", "images_per_s_auto", 0.0);
+                baseline.get("stages", "images_per_s", 0.0);
             if (now > 0.0 && ref > 0.0 && now < ref / 5.0) {
-                std::cerr << "stages: images_per_s_auto " << now
+                std::cerr << "stages: images_per_s " << now
                           << " is >5x below baseline " << ref << "\n";
                 ok = false;
             }

@@ -174,11 +174,11 @@ struct SpanView
 
 /**
  * Compact @p view into the contiguous @p dst span (len() bytes) that
- * run_span consumes. Exactly the bytes im2col_patch_i8 would have
- * copied, but with the per-run layer-geometry branching hoisted out:
- * the inner loop is fixed-width loads/stores specialized per run
- * length, roughly an order of magnitude cheaper than the per-run
- * clip-and-memcpy walk for the 3-byte runs a 3x3 conv produces.
+ * run_span consumes: the im2col patch bytes, with the per-run
+ * layer-geometry branching hoisted out. The inner loop is fixed-width
+ * loads/stores specialized per run length, roughly an order of
+ * magnitude cheaper than a per-run clip-and-memcpy walk for the
+ * 3-byte runs a 3x3 conv produces.
  * Without view.slack8 it writes exactly len() bytes — no padding, no
  * overshoot; with it, up to 8 - runLen bytes past len() are clobbered
  * (the slack the caller reserved).

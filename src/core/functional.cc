@@ -80,73 +80,43 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
     const std::size_t outHW = std::size_t(o.h) * o.w;
 
     if (bits <= 8) {
-        // Both front ends feed the identical per-(position, filter)
-        // dotProductSpan call sequence with identical patch bytes, so
-        // outputs AND statistics are byte-identical across modes —
-        // only the work done to produce each patch differs. The mode
-        // was chosen at plan compile (pl.frontend) and the arena was
-        // sized for exactly the allocations made here.
-        const bool elided = pl.frontend == dnn::FrontendMode::Elided;
-        std::int8_t *patch = nullptr;
-        std::int8_t *qin = nullptr;
+        // Quantize the plane once; padded layers stage the whole
+        // zero-padded plane once more. After that the front half is
+        // pure addressing: a per-layer run-offset table plus a uniform
+        // base shift per output position, compacted one output ROW of
+        // patches at a time. Every buffer the view touches carries
+        // slackBytes so the compactor can use whole-word copies
+        // (slack8). The arena was sized at plan compile for exactly
+        // the allocations made here.
+        constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
+        const dnn::ElisionLayout el = dnn::elision_layout(layer);
+        std::int8_t *qin =
+            arena_.alloc<std::int8_t>(pl.inElems + (el.staged ? 0 : slack));
+        dnn::quantize_span(qi, in, pl.inElems, qin);
+        std::int8_t *patch =
+            arena_.alloc<std::int8_t>(std::size_t(o.w) * patch_len + slack);
+        std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
+        dnn::elided_offsets(layer, offsets);
         bce::simd::SpanView view;
-        const std::int8_t *viewPlane = nullptr;
-        dnn::ElisionLayout el;
-
-        if (elided) {
-            // Quantize the plane once; padded layers stage the whole
-            // zero-padded plane once more. After that the front half
-            // is pure addressing: a per-layer run-offset table plus a
-            // uniform base shift per output position, compacted one
-            // output ROW of patches at a time. Every buffer the view
-            // touches carries slackBytes so the compactor can use
-            // whole-word copies (slack8).
-            constexpr std::size_t slack =
-                bce::simd::SpanView::slackBytes;
-            el = dnn::elision_layout(layer);
-            qin = arena_.alloc<std::int8_t>(pl.inElems
-                                            + (el.staged ? 0 : slack));
-            dnn::quantize_span(qi, in, pl.inElems, qin);
-            patch = arena_.alloc<std::int8_t>(
-                std::size_t(o.w) * patch_len + slack);
-            std::int32_t *offsets = arena_.alloc<std::int32_t>(el.nRuns);
-            dnn::elided_offsets(layer, offsets);
-            view.offsets = offsets;
-            view.nRuns = el.nRuns;
-            view.runLen = el.runLen;
-            view.slack8 = true;
-            if (el.staged) {
-                std::int8_t *staging =
-                    arena_.alloc<std::int8_t>(el.stagingBytes + slack);
-                dnn::stage_plane_i8(layer, qin, staging);
-                viewPlane = staging;
-            } else {
-                viewPlane = qin;
-            }
-        } else {
-            // Quantize the whole input plane once, then each (oh, ow)
-            // patch is row-run span copies out of the quantized map.
-            qin = arena_.alloc<std::int8_t>(pl.inElems);
-            dnn::quantize_span(qi, in, pl.inElems, qin);
-            patch = arena_.alloc<std::int8_t>(patch_len);
+        view.offsets = offsets;
+        view.nRuns = el.nRuns;
+        view.runLen = el.runLen;
+        view.slack8 = true;
+        const std::int8_t *viewPlane = qin;
+        if (el.staged) {
+            std::int8_t *staging =
+                arena_.alloc<std::int8_t>(el.stagingBytes + slack);
+            dnn::stage_plane_i8(layer, qin, staging);
+            viewPlane = staging;
         }
 
         for (unsigned oh = 0; oh < o.h; ++oh) {
-            if (elided) {
-                // One call compacts the whole output row of patches.
-                view.base = viewPlane
-                            + std::size_t(oh) * layer.strideH
-                                  * el.rowBytes;
-                bce::simd::materialize_span_block(view, o.w,
-                                                  layer.strideW, patch,
-                                                  patch_len);
-            }
+            view.base =
+                viewPlane + std::size_t(oh) * layer.strideH * el.rowBytes;
+            bce::simd::materialize_span_block(view, o.w, layer.strideW,
+                                              patch, patch_len);
             for (unsigned ow = 0; ow < o.w; ++ow) {
-                const std::int8_t *cur = patch;
-                if (elided)
-                    cur = patch + std::size_t(ow) * patch_len;
-                else
-                    dnn::im2col_patch_i8(layer, qin, oh, ow, patch);
+                const std::int8_t *cur = patch + std::size_t(ow) * patch_len;
                 for (unsigned k = 0; k < o.c; ++k) {
                     const std::int32_t acc = bce.dotProductSpan(
                         fw.q8.data() + std::size_t(k) * patch_len, cur,
@@ -372,9 +342,8 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
     arena_.reserve(ps.arenaBytes);
     arena_.reset();
     // Restart the high-water mark so highWater() reports the peak of
-    // the plan actually run — a re-plan that sheds scratch (e.g. a
-    // different front end) must show the shrink instead of the old
-    // plan's ghost.
+    // the plan actually run — a smaller plan run after a larger one
+    // must show the shrink instead of the old plan's ghost.
     arena_.resetHighWater();
     float *cur = arena_.alloc<float>(ps.maxActivationElems);
     float *next = arena_.alloc<float>(ps.maxActivationElems);

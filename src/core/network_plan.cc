@@ -5,6 +5,7 @@
 #include <string>
 
 #include "bce/simd_kernels.hh"
+#include "dnn/im2col.hh"
 #include "sim/logging.hh"
 #include "verify/plan_verifier.hh"
 
@@ -120,40 +121,23 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 elems = o.elements();
                 break;
             }
-            // The 8-bit front end is chosen here, at plan time, and
-            // its exact arena demand recorded through the same
-            // paddedBytes the runtime allocates with.
-            pl.frontend = dnn::resolve_frontend(layer, bits);
-            if (pl.frontend == dnn::FrontendMode::Elided) {
-                // Plane + a whole output ROW of patches, plus the
-                // addressing state: the per-layer run-offset table and,
-                // for padded layers, the staged zero-padded plane.
-                // Buffers the view compactor touches carry its
-                // whole-word copy slack, through the exact expressions
-                // runConvInto allocates with.
-                constexpr std::size_t slack =
-                    bce::simd::SpanView::slackBytes;
-                const dnn::ElisionLayout el =
-                    dnn::elision_layout(layer);
-                pl.scratchBytes =
-                    TensorArena::paddedBytes<std::int8_t>(
-                        layer.input.elements()
-                        + (el.staged ? 0 : slack))
-                    + TensorArena::paddedBytes<std::int8_t>(
-                          std::size_t(o.w) * patch_len + slack)
-                    + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
-                    + (el.staged
-                           ? TensorArena::paddedBytes<std::int8_t>(
-                                 el.stagingBytes + slack)
-                           : 0);
-                ps.elidedFrontLayers += 1;
-            } else {
-                pl.scratchBytes =
-                    TensorArena::paddedBytes<std::int8_t>(
-                        layer.input.elements())
-                    + TensorArena::paddedBytes<std::int8_t>(patch_len);
-                ps.legacyFrontLayers += 1;
-            }
+            // The front end's exact arena demand, through the same
+            // expressions runConvInto allocates with: the quantized
+            // plane, a whole output ROW of patches, the per-layer
+            // run-offset table and, for padded layers, the staged
+            // zero-padded plane. Buffers the view compactor touches
+            // carry its whole-word copy slack.
+            constexpr std::size_t slack = bce::simd::SpanView::slackBytes;
+            const dnn::ElisionLayout el = dnn::elision_layout(layer);
+            pl.scratchBytes =
+                TensorArena::paddedBytes<std::int8_t>(
+                    layer.input.elements() + (el.staged ? 0 : slack))
+                + TensorArena::paddedBytes<std::int8_t>(
+                      std::size_t(o.w) * patch_len + slack)
+                + TensorArena::paddedBytes<std::int32_t>(el.nRuns)
+                + (el.staged ? TensorArena::paddedBytes<std::int8_t>(
+                                   el.stagingBytes + slack)
+                             : 0);
             shape = {o.c, o.h, o.w};
             elems = o.elements();
             break;

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "dnn/im2col.hh"
 #include "dnn/network.hh"
 #include "dnn/quantize.hh"
 #include "dnn/tensor_arena.hh"
@@ -79,16 +78,6 @@ struct PlannedLayer
 
     /** Arena scratch bytes this layer allocates while it runs. */
     std::size_t scratchBytes = 0;
-
-    /**
-     * How the layer's int8 patches are produced (conv at <= 8 bits
-     * only; everything else is Legacy). Chosen at compile time by
-     * dnn::resolve_frontend — the policy plus the
-     * BFREE_FORCE_FRONTEND override — and baked into the plan, so a
-     * compiled plan keeps running the mode it was sized for even if
-     * the override changes afterwards.
-     */
-    dnn::FrontendMode frontend = dnn::FrontendMode::Legacy;
 };
 
 /** Compile-time accounting of a plan (also the --plan-stats payload). */
@@ -106,10 +95,6 @@ struct PlanStats
     std::size_t frozenWeightBytes = 0;
     /** Weight values pushed through SymQuant::q at compile time. */
     std::uint64_t frozenValues = 0;
-
-    // Front-end mode accounting (conv layers at <= 8 bits).
-    std::size_t legacyFrontLayers = 0; ///< Conv layers on the legacy path.
-    std::size_t elidedFrontLayers = 0; ///< Conv layers with im2col elided.
 };
 
 /**

@@ -1,9 +1,7 @@
 #include "im2col.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <optional>
 
 #include "sim/logging.hh"
 
@@ -88,99 +86,6 @@ im2col(const Layer &layer, const FloatTensor &input)
         }
     }
     return matrix;
-}
-
-void
-im2col_patch_i8(const Layer &layer, const std::int8_t *qin, unsigned oh,
-                unsigned ow, std::int8_t *patch)
-{
-    const std::size_t inW = layer.input.w;
-    const std::size_t inHW = std::size_t(layer.input.h) * inW;
-    const std::size_t kW = layer.kernelW;
-    const RowRun rr = row_run(layer, ow);
-
-    for (unsigned c = 0; c < layer.input.c; ++c) {
-        const std::int8_t *plane = qin + c * inHW;
-        for (unsigned r = 0; r < layer.kernelH; ++r, patch += kW) {
-            const int ih = static_cast<int>(oh * layer.strideH + r)
-                           - static_cast<int>(layer.padH);
-            if (ih < 0 || ih >= static_cast<int>(layer.input.h)) {
-                std::memset(patch, 0, kW);
-                continue;
-            }
-            if (rr.s0 > 0)
-                std::memset(patch, 0, rr.s0);
-            if (rr.s1 > rr.s0)
-                std::memcpy(patch + rr.s0,
-                            plane + std::size_t(ih) * inW + rr.iw0
-                                + rr.s0,
-                            rr.s1 - rr.s0);
-            if (static_cast<int>(kW) > rr.s1)
-                std::memset(patch + rr.s1, 0, kW - rr.s1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Front-end mode selection
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** The one resolved override; std::nullopt until first use, a held
- *  std::nullopt value meaning "no override, use the policy". */
-std::optional<std::optional<FrontendMode>> resolvedFrontend;
-
-std::optional<FrontendMode>
-resolve_frontend_from_environment()
-{
-    const char *mode = std::getenv("BFREE_FORCE_FRONTEND");
-    if (mode == nullptr || mode[0] == '\0')
-        return std::nullopt;
-    if (!std::strcmp(mode, "legacy"))
-        return FrontendMode::Legacy;
-    if (!std::strcmp(mode, "elided"))
-        return FrontendMode::Elided;
-    bfree_fatal("BFREE_FORCE_FRONTEND=", mode, " is not a known "
-                "front-end mode (expected legacy or elided)");
-}
-
-} // namespace
-
-const char *
-frontend_mode_name(FrontendMode mode)
-{
-    switch (mode) {
-      case FrontendMode::Legacy:
-        return "legacy";
-      case FrontendMode::Elided:
-        return "elided";
-    }
-    return "unknown";
-}
-
-FrontendMode
-resolve_frontend(const Layer &layer, unsigned bits)
-{
-    // Non-conv and wide-precision layers have no int8 patch pipeline
-    // to reroute: the override does not apply there.
-    if (layer.kind != LayerKind::Conv || bits > 8)
-        return FrontendMode::Legacy;
-    if (!resolvedFrontend)
-        resolvedFrontend = resolve_frontend_from_environment();
-    return resolvedFrontend->value_or(FrontendMode::Elided);
-}
-
-void
-force_frontend(FrontendMode mode)
-{
-    resolvedFrontend = std::optional<FrontendMode>(mode);
-}
-
-void
-reset_frontend()
-{
-    resolvedFrontend = resolve_frontend_from_environment();
 }
 
 ElisionLayout

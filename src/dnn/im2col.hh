@@ -28,66 +28,6 @@ namespace bfree::dnn {
  */
 FloatTensor im2col(const Layer &layer, const FloatTensor &input);
 
-/**
- * Fill one im2col patch (length inC*kH*kW) for output position
- * (@p oh, @p ow) from a pre-quantized [c][h][w] int8 feature map.
- * Each (channel, kernel-row) contributes one contiguous kernelW-byte
- * run of the source row — copied as a span, with zero-fill where the
- * receptive field hangs over the padding — so the extraction is
- * memory-bandwidth work instead of a per-element index walk. Combined
- * with quantize_span over the whole input once, this is byte-identical
- * to the legacy per-element quantize-in-the-loop patch fill (the
- * quantizer is a pure function, and a padded tap quantizes to 0).
- */
-void im2col_patch_i8(const Layer &layer, const std::int8_t *qin,
-                     unsigned oh, unsigned ow, std::int8_t *patch);
-
-// ---------------------------------------------------------------------
-// Front-end mode: how a conv layer's int8 patches are produced
-// ---------------------------------------------------------------------
-
-/**
- * The two ways the 8-bit conv front half can feed the span kernels.
- * Both produce byte-identical patches (and therefore identical outputs
- * and BCE statistics) for any conv layer at <= 8 bits — only the work
- * done per image differs — so either mode may be forced anywhere for
- * differential testing. The numeric values are recorded in committed
- * bench JSON and stay fixed.
- */
-enum class FrontendMode
-{
-    /** Quantize the whole input plane, then row-run patch copies
-     *  (im2col_patch_i8). The reference the elided mode is byte-diffed
-     *  against; also the only mode for > 8-bit layers and non-conv
-     *  layers. */
-    Legacy = 0,
-    /** Quantize the plane once, then address patches through a strided
-     *  SpanView (bce::simd::materialize_span_view) instead of per-run
-     *  memcpy calls. Chosen for every conv layer at <= 8 bits: the
-     *  plane quantization runs vectorized once and the copy loop is the
-     *  cost to kill. */
-    Elided = 2,
-};
-
-/** Human-readable name ("legacy", "elided"). */
-const char *frontend_mode_name(FrontendMode mode);
-
-/**
- * The mode the plan compiler records for @p layer at @p bits: Legacy
- * for non-conv layers and > 8-bit precisions, where no int8 patch
- * pipeline exists; otherwise Elided, unless the BFREE_FORCE_FRONTEND
- * environment override (legacy|elided) or a force_frontend() pin says
- * otherwise. An unknown override value is fatal at first use,
- * mirroring BFREE_FORCE_ISA.
- */
-FrontendMode resolve_frontend(const Layer &layer, unsigned bits);
-
-/** Pin the front-end mode programmatically (tests/benchmarks). */
-void force_frontend(FrontendMode mode);
-
-/** Drop a force_frontend pin and re-resolve from the environment. */
-void reset_frontend();
-
 // ---------------------------------------------------------------------
 // Im2col elision: strided patch addressing over the quantized plane
 // ---------------------------------------------------------------------

@@ -117,10 +117,6 @@ enum class RuleId
                     ///< the fabric's usable capacity.
     CapacityArena,  ///< capacity-arena: the TensorArena ledger is
                     ///< inconsistent or over budget.
-    PlanFrontend,   ///< plan-frontend: a layer's recorded conv
-                    ///< front-end mode (elided/legacy) is invalid
-                    ///< for its kind or precision, or disagrees
-                    ///< with the front-end policy.
 
     // Serving-config rules.
     ServeQueue,   ///< serve-queue: zero-capacity request queue.

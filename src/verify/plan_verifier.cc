@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "datapath_verifier.hh"
-#include "dnn/im2col.hh"
 #include "lut/datapath_table.hh"
 #include "map/mapping.hh"
 #include "tech/row_layout.hh"
@@ -458,8 +457,6 @@ PlanVerifier::verify(const core::NetworkPlan &plan,
         checkDataflow(dataflow_from_plan(plan), report, "plan dataflow");
     if (opts.checkCapacity)
         checkArena(plan.stats(), plan.layers(), report);
-    if (opts.checkFrontend)
-        checkFrontend(plan.layers(), plan.bits(), report);
     return report;
 }
 
@@ -897,48 +894,6 @@ PlanVerifier::checkArena(const core::PlanStats &stats,
            << " bytes exceeds the budget of " << arena_budget_bytes;
         report.add(RuleId::CapacityArena, Severity::Error, location,
                    os.str(), "raise the budget or shrink activations");
-    }
-}
-
-void
-PlanVerifier::checkFrontend(const std::vector<core::PlannedLayer> &layers,
-                            unsigned plan_bits, VerifyReport &report,
-                            const std::string &location) const
-{
-    for (const core::PlannedLayer &pl : layers) {
-        const std::string tag =
-            location + ": layer '" + pl.layer.name + "'";
-        const bool conv = pl.layer.kind == dnn::LayerKind::Conv;
-        if (pl.frontend != dnn::FrontendMode::Legacy
-            && (!conv || plan_bits > 8)) {
-            std::ostringstream os;
-            os << "front-end mode '"
-               << dnn::frontend_mode_name(pl.frontend) << "' on a "
-               << (conv ? "wide-precision conv"
-                        : dnn::layer_kind_name(pl.layer.kind))
-               << " layer: only int8 convolutions have an elided "
-                  "front end";
-            report.add(RuleId::PlanFrontend, Severity::Error, tag,
-                       os.str(), "recompile the plan");
-            continue;
-        }
-        if (!conv || plan_bits > 8)
-            continue;
-        // Both modes are byte-exact on an int8 conv; disagreeing with
-        // the live policy (elided + any BFREE_FORCE_FRONTEND override)
-        // only costs performance, so it warns.
-        const dnn::FrontendMode want =
-            dnn::resolve_frontend(pl.layer, plan_bits);
-        if (pl.frontend != want) {
-            std::ostringstream os;
-            os << "front-end mode '"
-               << dnn::frontend_mode_name(pl.frontend)
-               << "' but the front-end policy resolves to '"
-               << dnn::frontend_mode_name(want) << "'";
-            report.add(RuleId::PlanFrontend, Severity::Warning, tag,
-                       os.str(),
-                       "recompile, or clear BFREE_FORCE_FRONTEND");
-        }
     }
 }
 

@@ -4,9 +4,10 @@
  * NetworkPlan (weights frozen once) must match the legacy per-call
  * quantization path float-for-float, the batch runner must be
  * bit-identical to a sequential loop for any thread count, the
- * steady-state path must make zero heap allocations, and executors
+ * steady-state path must make zero heap allocations, executors
  * racing the first build of the shared datapath tables must match a
- * sequential run bit for bit.
+ * sequential run bit for bit, and a conv plan must feed the datapath
+ * exactly the per-element patch oracle's bytes.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <latch>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "bce/simd_kernels.hh"
 #include "core/functional.hh"
 #include "dnn/model_zoo.hh"
+#include "mem/subarray.hh"
+#include "patch_oracle.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps
@@ -535,39 +539,6 @@ TEST(NetworkPlan, FourBitMatmulTilesAreNibblePacked)
                     72, 72, "attention");
 }
 
-TEST(NetworkPlan, FrontendSelectionFollowsGeometryPolicy)
-{
-    // Every conv at <= 8 bits elides the im2col copy, whether its
-    // windows overlap (3x3 s1), are disjoint (2x2 s2) or are 1x1;
-    // wide precisions and non-conv layers stay legacy.
-    Network net("front-mix", {3, 8, 8});
-    net.add(make_conv("overlap", {3, 8, 8}, 4, 3, 1, 1));
-    net.add(make_conv("disjoint", {4, 8, 8}, 4, 2, 2, 0));
-    net.add(make_conv("pointwise", {4, 4, 4}, 2, 1, 1, 0));
-    bfree::sim::Rng rng(7);
-    const NetworkWeights weights = random_weights(net, rng);
-
-    const NetworkPlan plan = NetworkPlan::compile(net, weights, 8);
-    ASSERT_EQ(plan.layers().size(), 3u);
-    EXPECT_EQ(plan.layers()[0].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.layers()[1].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.layers()[2].frontend, FrontendMode::Elided);
-    EXPECT_EQ(plan.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(plan.stats().elidedFrontLayers, 3u);
-    // Committed bench JSON records the mode as a number.
-    EXPECT_EQ(0, static_cast<int>(FrontendMode::Legacy));
-    EXPECT_EQ(2, static_cast<int>(FrontendMode::Elided));
-
-    // > 8-bit plans have no vectorized int8 front end at all: every
-    // layer is Legacy and none is counted in the <= 8-bit front-end
-    // ledger.
-    const NetworkPlan wide = NetworkPlan::compile(net, weights, 16);
-    for (const PlannedLayer &pl : wide.layers())
-        EXPECT_EQ(pl.frontend, FrontendMode::Legacy) << pl.layer.name;
-    EXPECT_EQ(wide.stats().legacyFrontLayers, 0u);
-    EXPECT_EQ(wide.stats().elidedFrontLayers, 0u);
-}
-
 TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
 {
     // Re-running a smaller plan through the same executor must report
@@ -601,44 +572,84 @@ TEST(NetworkPlan, HighWaterTracksThePlanActuallyRun)
         << "high-water must shrink to the smaller plan's own peak";
 }
 
-TEST(NetworkPlan, ForcedFrontendsAreBitwiseIdentical)
+TEST(NetworkPlan, GeneratedConvMatchesPatchOracleBitwise)
 {
-    // Outputs AND datapath statistics must be byte-identical across
-    // the two forced front ends: both feed the same patch bytes to the
-    // same dotProductSpan call sequence.
-    const Network net = make_tiny_cnn();
-    bfree::sim::Rng rng(17);
-    const NetworkWeights weights = random_weights(net, rng);
-    FloatTensor input({1, 8, 8});
-    input.fillUniform(rng, 0.0, 1.0);
+    // One-conv plans on seeded shapes at 8 and 4 bits. The executor's
+    // elided front end must feed the datapath exactly the patches the
+    // per-element oracle builds: a test loop that hands oracle patches
+    // to dotProductSpan in runConvInto's (oh, ow, k) order on a twin
+    // datapath reproduces outputs, statistics and every energy
+    // category bit for bit. One executor runs every plan in turn, so
+    // each plan's scratch lands on bytes an earlier plan left behind,
+    // and each run's arena peak must equal what its plan reserved.
+    for (const unsigned bits : {8u, 4u}) {
+        FunctionalExecutor exec;
+        bfree::tech::CacheGeometry geom;
+        bfree::tech::TechParams tech;
+        bfree::mem::EnergyAccount account;
+        bfree::mem::Subarray sa(geom, tech, account);
+        bfree::bce::Bce bce(sa, tech, account);
+        bce.setTier(bfree::bce::ExecTier::Tiered);
+        bce.loadMultLutImage();
 
-    force_frontend(FrontendMode::Legacy);
-    const NetworkPlan lp = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor le;
-    const FunctionalResult lr = le.run(lp, input);
+        bfree::sim::Rng rng(bits == 8 ? 404 : 505);
+        for (unsigned i = 0; i < 8; ++i) {
+            const Layer l = bfree::test::generated_conv(rng, i);
+            SCOPED_TRACE(std::to_string(bits) + "-bit " + l.name);
+            Network net("gen", l.input);
+            net.add(l);
+            const NetworkWeights weights = random_weights(net, rng);
+            const NetworkPlan plan = NetworkPlan::compile(net, weights,
+                                                          bits);
+            FloatTensor input({l.input.c, l.input.h, l.input.w});
+            input.fillUniform(rng, -1.0, 1.0);
 
-    force_frontend(FrontendMode::Elided);
-    const NetworkPlan ep = NetworkPlan::compile(net, weights, 8);
-    FunctionalExecutor ee;
-    const FunctionalResult er = ee.run(ep, input);
-    reset_frontend();
+            const FunctionalResult got = exec.run(plan, input);
+            EXPECT_EQ(exec.arena().highWater(), plan.stats().arenaBytes);
 
-    expect_bitwise_eq(er.output, lr.output);
-    expect_stats_eq(er.stats, lr.stats);
-    EXPECT_EQ(ee.energy().total(), le.energy().total());
-}
+            const PlannedLayer &pl = plan.layers()[0];
+            const QuantizedWeights &fw = pl.frozen[0];
+            const SymQuant qi = choose_sym(input.data(), input.size(),
+                                           bits);
+            const FeatureShape o = l.outputShape();
+            const std::size_t patch_len =
+                std::size_t(l.input.c) * l.kernelH * l.kernelW;
+            const std::size_t outHW = std::size_t(o.h) * o.w;
+            std::vector<std::int8_t> patch(patch_len);
+            FloatTensor want({o.c, o.h, o.w});
+            bce.setMode(bfree::bce::BceMode::Conv);
+            for (unsigned oh = 0; oh < o.h; ++oh) {
+                for (unsigned ow = 0; ow < o.w; ++ow) {
+                    bfree::test::reference_patch(l, qi, input.data(), oh,
+                                                 ow, patch.data());
+                    for (unsigned k = 0; k < o.c; ++k) {
+                        const std::int32_t acc = bce.dotProductSpan(
+                            fw.q8.data() + std::size_t(k) * patch_len,
+                            patch.data(), patch_len, bits);
+                        want.data()[std::size_t(k) * outHW
+                                    + std::size_t(oh) * o.w + ow] =
+                            static_cast<float>(acc * fw.scale.scale
+                                               * qi.scale)
+                            + pl.bias[k];
+                    }
+                }
+            }
 
-TEST(NetworkPlanDeath, UnknownForcedFrontendIsFatal)
-{
-    // "fused" was a mode once: a stale script naming it must get the
-    // diagnostic, not a silent fallback to the policy.
-    for (const char *mode : {"fused", "turbo"}) {
-        ASSERT_EQ(0, setenv("BFREE_FORCE_FRONTEND", mode, 1));
-        EXPECT_DEATH(reset_frontend(), "not a known front-end mode")
-            << mode;
+            expect_bitwise_eq(got.output, want);
+            expect_stats_eq(got.stats, bce.stats());
+            bce.flushEnergy();
+            const bfree::mem::EnergyAccount &ea = exec.energy();
+            for (std::size_t c = 0;
+                 c < bfree::mem::num_energy_categories; ++c) {
+                const auto cat =
+                    static_cast<bfree::mem::EnergyCategory>(c);
+                const double a = ea.joules(cat);
+                const double b = account.joules(cat);
+                EXPECT_EQ(0, std::memcmp(&a, &b, sizeof a))
+                    << "energy category " << c;
+            }
+        }
     }
-    ASSERT_EQ(0, unsetenv("BFREE_FORCE_FRONTEND"));
-    reset_frontend();
 }
 
 TEST(NetworkPlanDeath, CompileRejectsWeightCountMismatch)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Differential proof that the vectorized front half of the tiered
- * datapath — quantize_span and the row-run im2col patch extraction —
- * is byte-identical to the scalar reference at every SIMD level this
+ * datapath — quantize_span and the elided im2col patch addressing — is
+ * byte-identical to the scalar reference at every SIMD level this
  * binary carries: random and tie-boundary values, ragged span lengths
  * straddling every vector width, misaligned buffers, and conv shapes
- * with odd extents and stride/pad edges. Exactness here is what lets
- * the whole pipeline claim bit-parity with the legacy path.
+ * (hand-picked and seeded) with odd extents and stride/pad edges.
+ * Exactness here is what lets the whole pipeline claim bit-parity with
+ * the legacy path.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "dnn/layer.hh"
 #include "dnn/quantize.hh"
 #include "dnn/tensor.hh"
+#include "patch_oracle.hh"
 #include "sim/cpuid.hh"
 #include "sim/random.hh"
 
@@ -172,111 +174,8 @@ TEST(QuantizeSpanDeath, WideLimitPanics)
 }
 
 // ---------------------------------------------------------------------
-// im2col patch extraction
+// Float im2col
 // ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * The legacy per-element patch fill the row-run form replaced: walk
- * (c, kh, kw), quantizing each in-bounds tap and zeroing padding.
- * Padded taps quantize to 0 because q(0) == 0 for every scale.
- */
-void
-reference_patch(const Layer &l, const SymQuant &sq, const float *in,
-                unsigned oh, unsigned ow, std::int8_t *patch)
-{
-    std::size_t idx = 0;
-    for (unsigned c = 0; c < l.input.c; ++c) {
-        for (unsigned r = 0; r < l.kernelH; ++r) {
-            for (unsigned s = 0; s < l.kernelW; ++s) {
-                const int ih = static_cast<int>(oh * l.strideH + r)
-                               - static_cast<int>(l.padH);
-                const int iw = static_cast<int>(ow * l.strideW + s)
-                               - static_cast<int>(l.padW);
-                float v = 0.0f;
-                if (ih >= 0 && ih < static_cast<int>(l.input.h)
-                    && iw >= 0 && iw < static_cast<int>(l.input.w))
-                    v = in[(static_cast<std::size_t>(c) * l.input.h
-                            + static_cast<std::size_t>(ih))
-                               * l.input.w
-                           + static_cast<std::size_t>(iw)];
-                patch[idx++] = static_cast<std::int8_t>(sq.q(v));
-            }
-        }
-    }
-}
-
-void
-expect_patches_match(const Layer &l, const std::string &ctx)
-{
-    sim::Rng rng(94);
-    const std::size_t in_elems = l.input.elements();
-    std::vector<float> in(in_elems);
-    for (float &v : in)
-        v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
-
-    SymQuant sq;
-    sq.scale = 0.02;
-
-    // The production pipeline: quantize the whole plane once, then
-    // extract int8 patches with the row-run copies.
-    std::vector<std::int8_t> qin(in_elems);
-    quantize_span(sq, in.data(), in_elems, qin.data());
-
-    const std::size_t patch_len =
-        std::size_t(l.input.c) * l.kernelH * l.kernelW;
-    std::vector<std::int8_t> got(patch_len + 1, 127), want(patch_len);
-    const FeatureShape out = l.outputShape();
-    for (unsigned oh = 0; oh < out.h; ++oh) {
-        for (unsigned ow = 0; ow < out.w; ++ow) {
-            im2col_patch_i8(l, qin.data(), oh, ow, got.data());
-            reference_patch(l, sq, in.data(), oh, ow, want.data());
-            ASSERT_EQ(0,
-                      std::memcmp(want.data(), got.data(), patch_len))
-                << ctx << " patch (" << oh << ", " << ow << ")";
-            ASSERT_EQ(127, got[patch_len])
-                << ctx << " wrote past the patch";
-        }
-    }
-}
-
-/** The conv shapes every front end must agree on: odd extents, stride
- *  > 1, stride >= kernel (disjoint windows), kernels larger than the
- *  padded border or the input, asymmetric kernels AND paddings, 1x1,
- *  and channel counts off every lane multiple. */
-std::vector<Layer>
-frontend_cases()
-{
-    return {
-        make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
-        make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
-        make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
-        make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
-        make_conv("wide-pad", {3, 4, 4}, 2, 4, 3, 3),
-        make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
-        make_conv("one-by-one", {9, 5, 5}, 3, 1, 1, 0),
-        make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
-        make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
-        make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
-        make_conv2("asym2", {2, 9, 9}, 2, 7, 1, 2, 3, 0),
-        make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
-    };
-}
-
-} // namespace
-
-TEST(Im2ColPatchI8, RaggedShapesExactAtEveryLevel)
-{
-    // Every front-end shape, at every SIMD level because the quantized
-    // plane feeding the patch walk comes from quantize_span: the
-    // production patch bytes must equal the per-element reference.
-    for_each_runnable_level([](sim::SimdLevel level) {
-        const std::string ctx = sim::simd_level_name(level);
-        for (const Layer &l : frontend_cases())
-            expect_patches_match(l, ctx + " " + l.name);
-    });
-}
 
 TEST(Im2ColFloat, RowRunMatchesElementwiseReferenceExactly)
 {
@@ -340,24 +239,88 @@ namespace {
 
 using bce::simd::SpanView;
 
-/** Run the whole elided pipeline for @p l and compare every patch,
+/** Hand-picked conv shapes the front end must reproduce: odd extents,
+ *  stride > 1, stride >= kernel (disjoint windows), kernels larger
+ *  than the padded border or the input, asymmetric kernels AND
+ *  paddings, 1x1, and channel counts off every lane multiple. */
+std::vector<Layer>
+frontend_cases()
+{
+    return {
+        make_conv("odd", {3, 7, 7}, 4, 3, 1, 1),
+        make_conv("stride", {5, 9, 9}, 4, 3, 2, 0),
+        make_conv("stride3", {3, 11, 11}, 2, 2, 3, 0),
+        make_conv("pad2", {2, 5, 5}, 4, 5, 1, 2),
+        make_conv("wide-pad", {3, 4, 4}, 2, 4, 3, 3),
+        make_conv("tiny", {1, 1, 1}, 1, 1, 1, 0),
+        make_conv("one-by-one", {9, 5, 5}, 3, 1, 1, 0),
+        make_conv("lanes", {17, 6, 6}, 4, 3, 1, 1),
+        make_conv("k-gt-input", {2, 3, 3}, 2, 5, 1, 2),
+        make_conv2("asym", {3, 8, 5}, 2, 1, 7, 1, 0, 3),
+        make_conv2("asym2", {2, 9, 9}, 2, 7, 1, 2, 3, 0),
+        make_conv2("asym-pad", {2, 6, 6}, 2, 3, 3, 2, 2, 0),
+    };
+}
+
+/** frontend_cases() plus seeded shapes (bfree::test::generated_conv)
+ *  from a fixed seed set. */
+std::vector<Layer>
+oracle_cases()
+{
+    std::vector<Layer> cases = frontend_cases();
+    for (const std::uint64_t seed : {101u, 202u, 303u}) {
+        sim::Rng rng(seed);
+        for (unsigned i = 0; i < 12; ++i)
+            cases.push_back(bfree::test::generated_conv(rng, i));
+    }
+    return cases;
+}
+
+/** One conv layer's random input and the oracle's patch bytes for
+ *  every output position, row-major over (oh, ow). */
+struct OracleCase
+{
+    Layer l;
+    SymQuant sq;
+    std::vector<float> in;
+    std::vector<std::int8_t> want;
+};
+
+OracleCase
+make_oracle_case(const Layer &l)
+{
+    OracleCase oc;
+    oc.l = l;
+    oc.sq.scale = 0.02;
+    sim::Rng rng(97);
+    oc.in.resize(l.input.elements());
+    for (float &v : oc.in)
+        v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
+    const std::size_t patch_len =
+        std::size_t(l.input.c) * l.kernelH * l.kernelW;
+    const FeatureShape out = l.outputShape();
+    oc.want.resize(std::size_t(out.h) * out.w * patch_len);
+    for (unsigned oh = 0; oh < out.h; ++oh)
+        for (unsigned ow = 0; ow < out.w; ++ow)
+            bfree::test::reference_patch(
+                l, oc.sq, oc.in.data(), oh, ow,
+                oc.want.data()
+                    + (std::size_t(oh) * out.w + ow) * patch_len);
+    return oc;
+}
+
+/** Run the whole elided pipeline for @p oc and compare every patch,
  *  both through per-patch materialize_span_view and the row-block
- *  materialize_span_block, against im2col_patch_i8. */
+ *  materialize_span_block, against the oracle's bytes. */
 void
-expect_elision_matches(const Layer &l, bool slack8,
+expect_elision_matches(const OracleCase &oc, bool slack8,
                        const std::string &ctx)
 {
     constexpr std::size_t slack = SpanView::slackBytes;
-    sim::Rng rng(97);
+    const Layer &l = oc.l;
     const std::size_t in_elems = l.input.elements();
-    std::vector<float> in(in_elems);
-    for (float &v : in)
-        v = static_cast<float>(rng.uniformReal(-2.0, 2.0));
-
-    SymQuant sq;
-    sq.scale = 0.02;
     std::vector<std::int8_t> qin(in_elems + slack, 0);
-    quantize_span(sq, in.data(), in_elems, qin.data());
+    quantize_span(oc.sq, oc.in.data(), in_elems, qin.data());
 
     const ElisionLayout el = elision_layout(l);
     std::vector<std::int8_t> staging;
@@ -380,7 +343,6 @@ expect_elision_matches(const Layer &l, bool slack8,
         std::size_t(l.input.c) * l.kernelH * l.kernelW;
     ASSERT_EQ(patch_len, view.len()) << ctx;
     const FeatureShape out = l.outputShape();
-    std::vector<std::int8_t> want(patch_len);
     std::vector<std::int8_t> one(patch_len + slack);
     std::vector<std::int8_t> row(std::size_t(out.w) * patch_len
                                  + slack);
@@ -390,16 +352,17 @@ expect_elision_matches(const Layer &l, bool slack8,
         bce::simd::materialize_span_block(view, out.w, l.strideW,
                                           row.data(), patch_len);
         for (unsigned ow = 0; ow < out.w; ++ow) {
-            im2col_patch_i8(l, qin.data(), oh, ow, want.data());
+            const std::int8_t *want =
+                oc.want.data()
+                + (std::size_t(oh) * out.w + ow) * patch_len;
             SpanView pv = view;
             pv.base = view.base + std::size_t(ow) * l.strideW;
             bce::simd::materialize_span_view(pv, one.data());
-            ASSERT_EQ(0, std::memcmp(want.data(), one.data(),
-                                     patch_len))
+            ASSERT_EQ(0, std::memcmp(want, one.data(), patch_len))
                 << ctx << " " << l.name << " view (" << oh << ","
                 << ow << ")";
             ASSERT_EQ(0,
-                      std::memcmp(want.data(),
+                      std::memcmp(want,
                                   row.data()
                                       + std::size_t(ow) * patch_len,
                                   patch_len))
@@ -414,15 +377,18 @@ expect_elision_matches(const Layer &l, bool slack8,
 TEST(SpanViewElision, ReproducesPatchBytesAtEveryLevel)
 {
     // Staged (padded) and in-place layouts, slack8 fast path and
-    // exact-width path, against the row-run patch copies the span
-    // kernels otherwise consume.
-    for_each_runnable_level([](sim::SimdLevel level) {
+    // exact-width path, hand-picked and seeded shapes, against the
+    // per-element patch oracle. The quantized plane comes from
+    // quantize_span, so every SIMD level runs the whole front half.
+    std::vector<OracleCase> cases;
+    for (const Layer &l : oracle_cases())
+        cases.push_back(make_oracle_case(l));
+    for_each_runnable_level([&](sim::SimdLevel level) {
         const std::string ctx = sim::simd_level_name(level);
-        for (const Layer &l : frontend_cases())
+        for (const OracleCase &oc : cases)
             for (const bool slack8 : {false, true})
                 expect_elision_matches(
-                    l, slack8,
-                    ctx + (slack8 ? " slack8" : " exact"));
+                    oc, slack8, ctx + (slack8 ? " slack8" : " exact"));
     });
 }
 
