@@ -198,7 +198,7 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         // Append to an existing document (e.g. micro_datapath's
-        // BENCH_pr3.json) rather than clobbering it.
+        // BENCH_micro_datapath.json) rather than clobbering it.
         sim::BenchJson json;
         json.load(json_path);
         for (const auto &slot : exported)

@@ -9,11 +9,12 @@
  * and the JSON are laid out deterministically for any thread count
  * (the measured rates themselves are wall-clock, not deterministic).
  *
- * Output: a BenchJson document (--out FILE, default BENCH_pr3.json)
- * with one section per point carrying legacy_macs_per_s,
- * tiered_macs_per_s and speedup. With --check-baseline FILE the run
- * exits 1 when any point's tiered MAC/s regressed more than 5x below
- * the committed baseline (the non-gating CI perf-smoke job).
+ * Output: a BenchJson document (--out FILE, default
+ * BENCH_micro_datapath.json) with one section per point carrying
+ * legacy_macs_per_s, tiered_macs_per_s and speedup. With
+ * --check-baseline FILE the run exits 1 when any point's tiered MAC/s
+ * regressed more than 5x below the committed baseline (the non-gating
+ * CI perf-smoke job).
  */
 
 #include <chrono>
@@ -117,7 +118,7 @@ int
 main(int argc, char **argv)
 {
     const unsigned threads = sim::threads_from_args(argc, argv);
-    std::string out_path = "BENCH_pr3.json";
+    std::string out_path = "BENCH_micro_datapath.json";
     std::string baseline_path;
     std::string threads_arg;
     if (!sim::parse_bench_flags(argc, argv,

@@ -21,8 +21,8 @@
  * Every run must produce the same int32 accumulators as a plain
  * integer GEMM and a cycle count equal to detailed_cache_formula (exit
  * 2 on divergence). Output: a BenchJson document (--out FILE, default
- * BENCH_pr4.json) with seconds, events/s, waves/s and speedup_vs_1t
- * per configuration; the heavy GEMM's sections carry a "heavy_"
+ * BENCH_micro_detailed.json) with seconds, events/s, waves/s and
+ * speedup_vs_1t per configuration; the heavy GEMM's sections carry a "heavy_"
  * prefix. With --check-baseline FILE the run exits 1 when the stream
  * GEMM's sharded_nt waves/s collapsed more than 5x below the committed
  * baseline (the non-gating CI perf-smoke job).
@@ -189,7 +189,7 @@ int
 main(int argc, char **argv)
 {
     const unsigned threads = sim::threads_from_args(argc, argv);
-    std::string out_path = "BENCH_pr4.json";
+    std::string out_path = "BENCH_micro_detailed.json";
     std::string baseline_path;
     std::string dump_path;
     std::string threads_arg;

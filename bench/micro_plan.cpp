@@ -10,7 +10,8 @@
  * layer exists for. Outputs are verified bitwise between the legacy and
  * warm-plan paths before any rate is reported.
  *
- * Output: a BenchJson document (--out FILE, default BENCH_pr5.json)
+ * Output: a BenchJson document (--out FILE, default
+ * BENCH_micro_plan.json)
  * with plan_compile / whole_network / batch_Nt sections. Each
  * whole_network section also reports cold_run_ms (a fresh executor's
  * first run, with the shared datapath tables already built by an
@@ -22,8 +23,9 @@
  *
  * With --dump-stats the bench instead prints the deterministic batch
  * statistics block (no wall-clock anywhere in the output) — the CI
- * determinism job byte-compares this at --threads 1 vs 8. The dump
- * ends with a 4-bit LSTM block (packed gate tile, PWL spans).
+ * determinism job byte-compares this at --threads 1 vs 8. After the
+ * 8-bit MLP and conv blocks come a 4-bit LSTM block (packed gate tile,
+ * PWL spans) and a 4-bit MLP batch block (multi-row packed tiles).
  */
 
 #include <algorithm>
@@ -188,13 +190,37 @@ dump_lstm_block(unsigned threads)
                 static_cast<unsigned long long>(csum));
 }
 
+/** One MLP batch block of --dump-stats. */
+void
+print_batch_block(const dnn::Network &net, std::size_t inputs,
+                  unsigned bits, const core::BatchResult &r,
+                  std::uint64_t osum)
+{
+    std::printf("micro_plan batch stats: net=%s inputs=%zu bits=%u\n",
+                net.name().c_str(), inputs, bits);
+    std::printf("cycles %llu\n",
+                static_cast<unsigned long long>(r.stats.cycles));
+    std::printf("macs %llu\n", static_cast<unsigned long long>(r.stats.macs));
+    std::printf("rom_lookups %llu\n",
+                static_cast<unsigned long long>(r.stats.counts.romLookups));
+    std::printf("lut_lookups %llu\n",
+                static_cast<unsigned long long>(r.stats.counts.lutLookups));
+    std::printf("adds %llu\n",
+                static_cast<unsigned long long>(r.stats.counts.adds));
+    std::printf("special_lut_events %llu\n",
+                static_cast<unsigned long long>(r.stats.specialLutEvents));
+    std::printf("energy_total %.17g\n", r.energy.total());
+    std::printf("output_checksum %016llx\n",
+                static_cast<unsigned long long>(osum));
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const unsigned threads = sim::threads_from_args(argc, argv);
-    std::string out_path = "BENCH_pr5.json";
+    std::string out_path = "BENCH_micro_plan.json";
     std::string baseline_path;
     bool dump_stats = false;
     std::string threads_arg;
@@ -231,26 +257,7 @@ main(int argc, char **argv)
         std::uint64_t osum = 0;
         for (const dnn::FloatTensor &t : r.outputs)
             osum = osum * 31 + checksum(t);
-        std::printf("micro_plan batch stats: net=%s inputs=%zu bits=8\n",
-                    net.name().c_str(), inputs.size());
-        std::printf("cycles %llu\n",
-                    static_cast<unsigned long long>(r.stats.cycles));
-        std::printf("macs %llu\n",
-                    static_cast<unsigned long long>(r.stats.macs));
-        std::printf("rom_lookups %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.counts.romLookups));
-        std::printf("lut_lookups %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.counts.lutLookups));
-        std::printf("adds %llu\n",
-                    static_cast<unsigned long long>(r.stats.counts.adds));
-        std::printf("special_lut_events %llu\n",
-                    static_cast<unsigned long long>(
-                        r.stats.specialLutEvents));
-        std::printf("energy_total %.17g\n", r.energy.total());
-        std::printf("output_checksum %016llx\n",
-                    static_cast<unsigned long long>(osum));
+        print_batch_block(net, inputs.size(), 8, r, osum);
 
         // Conv block: every ISA level and thread count must produce
         // these exact bytes, so this section byte-compares across the
@@ -287,6 +294,18 @@ main(int argc, char **argv)
         std::printf("output_checksum %016llx\n",
                     static_cast<unsigned long long>(csum));
         dump_lstm_block(threads);
+
+        // 4-bit batch block: the same MLP and inputs with nibble-packed
+        // weights, so the multi-row packed tile (uneven chunks at
+        // --threads 3) byte-compares across thread counts and ISAs.
+        const core::NetworkPlan plan4 =
+            core::NetworkPlan::compile(net, weights, 4);
+        const core::BatchResult r4 =
+            core::run_functional_batch(plan4, inputs, opts);
+        std::uint64_t osum4 = 0;
+        for (const dnn::FloatTensor &t : r4.outputs)
+            osum4 = osum4 * 31 + checksum(t);
+        print_batch_block(net, inputs.size(), 4, r4, osum4);
         return 0;
     }
 

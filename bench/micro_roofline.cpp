@@ -2,7 +2,7 @@
  * @file
  * Roofline and scaling study of the SIMD tiered datapath.
  *
- * Measurements, one JSON document (default BENCH_pr10.json):
+ * Measurements, one JSON document (default BENCH_micro_roofline.json):
  *
  *  - host: hardware threads and the ISA the dispatcher resolved, so
  *    every number downstream can be read in context.
@@ -24,7 +24,10 @@
  *    tile points run whole matmulTile GEMVs against column features
  *    computed once up front, as a compiled plan freezes them: the LSTM
  *    gate shape (1 x 1063 by 1063 x 4096) at 4 bits and the BERT-base
- *    FFN shape (1 x 768 by 768 x 3072) at 8 bits.
+ *    FFN shape (1 x 768 by 768 x 3072) at 8 bits. The reported-only
+ *    tile_rows_m{1,2,4,8}_{8,4}bit points run the FFN tile with m A
+ *    rows in one call at both widths: what a batch chunk of m requests
+ *    gains from the row-blocked kernels.
  *
  *  - stages: whole-image wall time of one conv layer split into
  *    marshal (everything that produces int8 patches: plane quantize,
@@ -43,9 +46,16 @@
  *    owning a private engine (the production batch-dispatch shape).
  *    The pool and the engines are built, and one untimed warm-up pass
  *    seeds each engine's tables, before the clock starts, so the
- *    figures are steady state only. On a 1-hardware-thread host the
- *    efficiency figures could only measure oversubscription, so the
- *    section records skipped = 1 and nothing else is emitted or gated.
+ *    figures are steady state only. Each point is bracketed by a
+ *    host-ceiling probe on the same workers (a dependent integer
+ *    chain, no memory traffic): ceiling_tN is that probe's N-thread
+ *    speedup, efficiency_vs_ceiling_tN the point's speedup over it,
+ *    and noisy_tN = 1 flags a ceiling below 0.8 min(N, hardware
+ *    threads) — a window in which the host did not lend the cores it
+ *    has, whose figures say nothing about the code. These are reported only. On a 1-hardware-thread host
+ *    the efficiency figures could only measure oversubscription, so
+ *    the section records skipped = 1 and nothing else is emitted or
+ *    gated.
  *
  * With --check-baseline FILE the run exits 1 on a >5x collapse of any
  * kernel point present in both the run and the baseline, of the
@@ -57,6 +67,7 @@
 #include <cstdio>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -169,31 +180,33 @@ measure_kernel_macs_per_s(bce::BceMode mode, unsigned bits,
 }
 
 /**
- * Steady-state MAC/s of a 1 x k by n x k matmulTile GEMV on the active
- * ISA, tallied against BT column features computed once up front (the
- * frozen-weight shape every FC, LSTM and attention layer runs); at 4
- * bits BT is nibble-packed once up front too, as a plan freezes it.
+ * Steady-state MAC/s of an m x k by n x k matmulTile on the active ISA
+ * (m = 1 is a GEMV), tallied against BT column features computed once
+ * up front (the frozen-weight shape every FC, LSTM and attention layer
+ * runs); at 4 bits BT is nibble-packed once up front too, as a plan
+ * freezes it.
  */
 double
-measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
-                        std::size_t reps, std::int64_t &checksum)
+measure_tile_macs_per_s(unsigned bits, std::size_t m, std::size_t k,
+                        std::size_t n, std::size_t reps,
+                        std::int64_t &checksum)
 {
     const int limit = bits == 4 ? 7 : 127;
-    const std::vector<std::int8_t> a = pattern(k, 3, limit);
+    const std::vector<std::int8_t> a = pattern(m * k, 3, limit);
     const std::vector<std::int8_t> bt = pattern(n * k, 4, limit);
     lut::ColumnFeatures frozen;
     bce::simd::column_features(bt.data(), n, k, frozen);
     lut::PackedTile packed;
     lut::pack_tile(bt.data(), n, k, packed);
-    std::vector<std::int32_t> out(n);
+    std::vector<std::int32_t> out(m * n);
 
     Engine e(bce::BceMode::Matmul);
     auto pass = [&] {
         std::fill(out.begin(), out.end(), 0);
         if (bits == 4)
-            e.bce.matmulTile(a.data(), packed, out.data(), 1, frozen);
+            e.bce.matmulTile(a.data(), packed, out.data(), m, frozen);
         else
-            e.bce.matmulTile(a.data(), bt.data(), out.data(), 1, k, n,
+            e.bce.matmulTile(a.data(), bt.data(), out.data(), m, k, n,
                              bits, &frozen);
         for (const std::int32_t v : out)
             checksum += v;
@@ -204,7 +217,7 @@ measure_tile_macs_per_s(unsigned bits, std::size_t k, std::size_t n,
     for (std::size_t r = 0; r < reps; ++r)
         pass();
     const double secs = seconds_since(start);
-    const double macs = static_cast<double>(reps) * k * n;
+    const double macs = static_cast<double>(reps) * m * k * n;
     return secs > 0.0 ? macs / secs : 0.0;
 }
 
@@ -347,50 +360,86 @@ struct StageRig
 };
 
 /**
- * Aggregate MAC/s with @p threads pool workers, each running the
- * conv_8bit span workload on a private engine — the shape
- * run_functional_batch uses for batched inference. Pool start-up,
- * engine construction and each engine's first-call table seeding
- * happen before the clock starts.
+ * The scaling rig at one thread count: a pool whose workers each own a
+ * private engine running the conv_8bit span workload — the shape the
+ * batch runner uses for batched inference — and, interleaved with it,
+ * a host-ceiling probe: the same workers spinning a dependent integer
+ * chain that touches no memory, so its aggregate rate measures how
+ * many cores the host actually lends this process right now. Pool
+ * start-up, engine construction and each engine's first-call table
+ * seeding happen before any clock starts.
  */
-double
-measure_scaling_macs_per_s(unsigned threads, std::size_t reps_per_thread)
+class ScalingRig
 {
-    const std::size_t len = 512;
-    const std::vector<std::int8_t> a = pattern(len, 1, 127);
-    const std::vector<std::int8_t> b = pattern(len, 2, 127);
+  public:
+    explicit ScalingRig(unsigned threads)
+        : threads(threads), pool(threads), a(pattern(len, 1, 127)),
+          b(pattern(len, 2, 127)), sink(threads, 0)
+    {
+        engines.reserve(threads);
+        for (unsigned t = 0; t < threads; ++t)
+            engines.push_back(std::make_unique<Engine>(bce::BceMode::Conv));
+        run([&](unsigned t) { // warm-up: table seeding stays untimed
+            return engines[t]->bce.dotProductSpan(a.data(), b.data(), len,
+                                                  8);
+        });
+    }
 
-    sim::ThreadPool pool(threads);
-    std::vector<std::unique_ptr<Engine>> engines;
-    engines.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        engines.push_back(std::make_unique<Engine>(bce::BceMode::Conv));
-    std::vector<std::int64_t> sink(threads, 0);
-    auto pass = [&](std::size_t reps) {
+    /** Aggregate MAC/s of @p reps spans per worker. */
+    double
+    macs_per_s(std::size_t reps)
+    {
+        const double secs = run([&](unsigned t) {
+            std::int64_t acc = 0;
+            for (std::size_t r = 0; r < reps; ++r)
+                acc += engines[t]->bce.dotProductSpan(a.data(), b.data(),
+                                                      len, 8);
+            return acc;
+        });
+        return secs > 0.0 ? static_cast<double>(threads)
+                                * static_cast<double>(reps) * len / secs
+                          : 0.0;
+    }
+
+    /** Aggregate steps/s of @p steps dependent LCG steps per worker. */
+    double
+    ceiling_steps_per_s(std::size_t steps)
+    {
+        const double secs = run([&](unsigned t) {
+            std::uint64_t x = t + 1;
+            for (std::size_t i = 0; i < steps; ++i)
+                x = x * 6364136223846793005ull + 1442695040888963407ull;
+            return static_cast<std::int64_t>(x >> 1);
+        });
+        return secs > 0.0 ? static_cast<double>(threads)
+                                * static_cast<double>(steps) / secs
+                          : 0.0;
+    }
+
+  private:
+    static constexpr std::size_t len = 512;
+
+    /** One task per worker; returns the wall seconds of the batch. */
+    double
+    run(const std::function<std::int64_t(unsigned)> &work)
+    {
         std::vector<std::function<void()>> tasks;
         tasks.reserve(threads);
-        for (unsigned t = 0; t < threads; ++t) {
+        for (unsigned t = 0; t < threads; ++t)
             // Accumulate locally: adjacent sink slots share a cache
             // line, and a store per call would bounce it between cores.
-            tasks.push_back([&, t, reps] {
-                std::int64_t acc = 0;
-                for (std::size_t r = 0; r < reps; ++r)
-                    acc += engines[t]->bce.dotProductSpan(
-                        a.data(), b.data(), len, 8);
-                sink[t] += acc;
-            });
-        }
+            tasks.push_back([&, t] { sink[t] += work(t); });
+        const auto start = std::chrono::steady_clock::now();
         pool.run(std::move(tasks));
-    };
-    pass(1); // warm-up: table seeding stays untimed
+        return seconds_since(start);
+    }
 
-    const auto start = std::chrono::steady_clock::now();
-    pass(reps_per_thread);
-    const double secs = seconds_since(start);
-    const double macs = static_cast<double>(threads)
-                        * static_cast<double>(reps_per_thread) * len;
-    return secs > 0.0 ? macs / secs : 0.0;
-}
+    unsigned threads;
+    sim::ThreadPool pool;
+    std::vector<std::int8_t> a, b;
+    std::vector<std::unique_ptr<Engine>> engines;
+    std::vector<std::int64_t> sink;
+};
 
 std::string
 kernel_section(sim::SimdLevel level)
@@ -409,8 +458,12 @@ constexpr std::size_t lstm_gate_n = 4096;
 constexpr std::size_t ffn_k = 768;
 constexpr std::size_t ffn_n = 3072;
 
-/** Whole GEMVs per tile point (each several million MACs). */
+/** Whole GEMVs per tile point (each several million MACs); an m-row
+ *  point runs tile_reps / m tiles, the same MACs. */
 constexpr std::size_t tile_reps = 40;
+
+/** A rows of the row-blocked tile points. */
+constexpr std::size_t tile_rows[] = {1, 2, 4, 8};
 
 constexpr sim::SimdLevel all_levels[] = {
     sim::SimdLevel::Scalar, sim::SimdLevel::Avx2, sim::SimdLevel::Avx512};
@@ -420,7 +473,7 @@ constexpr sim::SimdLevel all_levels[] = {
 int
 main(int argc, char **argv)
 {
-    std::string out_path = "BENCH_pr10.json";
+    std::string out_path = "BENCH_micro_roofline.json";
     std::string baseline_path;
     if (!sim::parse_bench_flags(argc, argv,
                                 {{"--out", &out_path},
@@ -463,9 +516,19 @@ main(int argc, char **argv)
         const double mm8_ragged = measure_kernel_macs_per_s(
             bce::BceMode::Matmul, 8, lstm_gate_k, reps, checksum);
         const double tile4 = measure_tile_macs_per_s(
-            4, lstm_gate_k, lstm_gate_n, tile_reps, checksum);
+            4, 1, lstm_gate_k, lstm_gate_n, tile_reps, checksum);
         const double tile8 = measure_tile_macs_per_s(
-            8, ffn_k, ffn_n, tile_reps, checksum);
+            8, 1, ffn_k, ffn_n, tile_reps, checksum);
+        // The FFN tile at m A rows: a dispatch's chunk of requests
+        // meets the weights in one row-blocked call.
+        double rows8[std::size(tile_rows)], rows4[std::size(tile_rows)];
+        for (std::size_t i = 0; i < std::size(tile_rows); ++i) {
+            const std::size_t m = tile_rows[i];
+            rows8[i] = measure_tile_macs_per_s(8, m, ffn_k, ffn_n,
+                                               tile_reps / m, checksum);
+            rows4[i] = measure_tile_macs_per_s(4, m, ffn_k, ffn_n,
+                                               tile_reps / m, checksum);
+        }
 
         if (level == sim::SimdLevel::Scalar) {
             scalar_conv = conv;
@@ -482,6 +545,11 @@ main(int argc, char **argv)
         json.set(sec, "matmul_8bit_ragged_macs_per_s", mm8_ragged);
         json.set(sec, "tile_gemv_4bit_macs_per_s", tile4);
         json.set(sec, "tile_gemv_8bit_macs_per_s", tile8);
+        for (std::size_t i = 0; i < std::size(tile_rows); ++i) {
+            const std::string m = std::to_string(tile_rows[i]);
+            json.set(sec, "tile_rows_m" + m + "_8bit_macs_per_s", rows8[i]);
+            json.set(sec, "tile_rows_m" + m + "_4bit_macs_per_s", rows4[i]);
+        }
         json.set(sec, "speedup_vs_scalar",
                  scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         best_conv = std::max(best_conv, conv);
@@ -495,6 +563,13 @@ main(int argc, char **argv)
                       tile4 / 1e6, tile8 / 1e6,
                       scalar_conv > 0.0 ? conv / scalar_conv : 0.0);
         std::cout << line;
+        std::cout << sec << " ffn tile rows m=1/2/4/8:";
+        for (std::size_t i = 0; i < std::size(tile_rows); ++i) {
+            std::snprintf(line, sizeof(line), "  %.0f/%.0f", rows8[i] / 1e6,
+                          rows4[i] / 1e6);
+            std::cout << line;
+        }
+        std::cout << " MMAC/s (8-bit/4-bit)\n";
     }
     sim::reset_simd_level();
 
@@ -556,30 +631,48 @@ main(int argc, char **argv)
         json.set("scaling", "hardware_threads", static_cast<double>(hw));
         std::cout << "scaling: skipped (1 hardware thread)\n";
     } else {
+        // Each point sits between two host-ceiling probes in the same
+        // window; its efficiency is also read against the ceiling those
+        // probes measured, and a point whose ceiling came in below
+        // 0.8 x min(N, hardware threads) (the host lent fewer cores
+        // than it has) is flagged noisy; past the hardware threads a
+        // point can only oversubscribe, so its bar is the core count.
+        // The 1-thread figures are the reference for both.
         const std::size_t reps_per_thread = 20000;
-        double rate1 = 0.0, rate8 = 0.0;
+        const std::size_t ceiling_steps = 2000000;
+        double rate1 = 0.0, rate8 = 0.0, ceil1 = 0.0;
         json.set("scaling", "skipped", 0.0);
         for (const unsigned t : {1u, 2u, 4u, 8u}) {
-            const double rate =
-                measure_scaling_macs_per_s(t, reps_per_thread);
-            if (t == 1)
+            ScalingRig rig(t);
+            const double before = rig.ceiling_steps_per_s(ceiling_steps);
+            const double rate = rig.macs_per_s(reps_per_thread);
+            const double after = rig.ceiling_steps_per_s(ceiling_steps);
+            const double ceilRate = 0.5 * (before + after);
+            if (t == 1) {
                 rate1 = rate;
+                ceil1 = ceilRate;
+            }
             if (t == 8)
                 rate8 = rate;
-            const double eff =
-                rate1 > 0.0 ? rate / (static_cast<double>(t) * rate1)
-                            : 0.0;
-            const std::string key_rate =
-                "rate_t" + std::to_string(t) + "_macs_per_s";
-            const std::string key_eff =
-                "efficiency_t" + std::to_string(t);
-            json.set("scaling", key_rate, rate);
-            json.set("scaling", key_eff, eff);
-            char line[120];
+            const double n = static_cast<double>(t);
+            const double eff = rate1 > 0.0 ? rate / (n * rate1) : 0.0;
+            const double ceiling = ceil1 > 0.0 ? ceilRate / ceil1 : 0.0;
+            const double effCeil =
+                rate1 > 0.0 && ceiling > 0.0 ? rate / rate1 / ceiling : 0.0;
+            const bool noisy =
+                ceiling < 0.8 * std::min(n, static_cast<double>(hw));
+            const std::string tn = "t" + std::to_string(t);
+            json.set("scaling", "rate_" + tn + "_macs_per_s", rate);
+            json.set("scaling", "efficiency_" + tn, eff);
+            json.set("scaling", "ceiling_" + tn, ceiling);
+            json.set("scaling", "efficiency_vs_ceiling_" + tn, effCeil);
+            json.set("scaling", "noisy_" + tn, noisy ? 1.0 : 0.0);
+            char line[160];
             std::snprintf(line, sizeof(line),
-                          "threads %u: %10.2f MMAC/s  efficiency "
-                          "%5.2f\n",
-                          t, rate / 1e6, eff);
+                          "threads %u: %10.2f MMAC/s  efficiency %5.2f  "
+                          "host ceiling %4.2f  vs ceiling %5.2f%s\n",
+                          t, rate / 1e6, eff, ceiling, effCeil,
+                          noisy ? "  (noisy)" : "");
             std::cout << line;
         }
         json.set("scaling", "t8_over_t1",

@@ -13,10 +13,11 @@
  * capacity probe, so the Poisson section runs near saturation and the
  * bursty section deliberately overruns the admission bound.
  *
- * Output: a BenchJson document (--out FILE, default BENCH_pr6.json)
- * with serve_capacity / serve_poisson / serve_bursty sections. With
- * --check-baseline FILE the run exits 1 when a tracked rate collapsed
- * more than 5x below the committed baseline (non-gating CI smoke).
+ * Output: a BenchJson document (--out FILE, default
+ * BENCH_micro_serve.json) with serve_capacity / serve_poisson /
+ * serve_bursty sections. With --check-baseline FILE the run exits 1
+ * when a tracked rate collapsed more than 5x below the committed
+ * baseline (non-gating CI smoke).
  *
  * With --dump-stats the bench instead prints the deterministic replay
  * record — the full batch log, the serve stats group (histograms
@@ -131,7 +132,7 @@ int
 main(int argc, char **argv)
 {
     const unsigned threads = sim::threads_from_args(argc, argv);
-    std::string out_path = "BENCH_pr6.json";
+    std::string out_path = "BENCH_micro_serve.json";
     std::string baseline_path;
     bool dump_stats = false;
     std::string threads_arg;

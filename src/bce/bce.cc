@@ -75,7 +75,17 @@ Bce::setMode(BceMode mode)
     if (mode == _mode)
         return;
     _mode = mode;
+    ++switches_[static_cast<std::size_t>(mode)];
     chargeCycles(1);
+}
+
+void
+Bce::chargeModeSwitches(BceMode mode, std::uint64_t n)
+{
+    const std::size_t i = static_cast<std::size_t>(mode);
+    switches_[i] += n;
+    stats_.cycles += n;
+    stats_.cyclesByMode[i] += n;
 }
 
 void
@@ -479,7 +489,7 @@ Bce::matmulTile(const std::int8_t *a, const std::int8_t *bt,
         if (bits == 4) {
             // The one 4-bit product kernel takes packed weights.
             lut::pack_tile(bt, n, k, packedB_);
-            simd::tile_products(a, packedB_, out, m, packedRow_);
+            simd::tile_products(a, packedB_, out, m, packedRows_);
             if (btFeatures->maxMagnitude >= 8)
                 add_back_eights(a, bt, out, m, k, n);
         } else {
@@ -518,7 +528,7 @@ Bce::matmulTile(const std::int8_t *a, const lut::PackedTile &bt,
             lut::unpack_tile_row(bt, 0, btRow_.data());
             checkTileDomain(a, btRow_.data(), m, k, 1, bits);
         }
-        simd::tile_products(a, bt, out, m, packedRow_);
+        simd::tile_products(a, bt, out, m, packedRows_);
     } else {
         // Column by column: only A can hold an offender, so the first
         // one met is still the first in (i, j, t) order.

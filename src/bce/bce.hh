@@ -52,6 +52,7 @@
 
 #include "config_block.hh"
 #include "isa.hh"
+#include "simd_kernels.hh"
 #include "lut/datapath_table.hh"
 #include "lut/division.hh"
 #include "lut/fixed_point.hh"
@@ -143,6 +144,21 @@ class Bce
 
     /** Switch datapath mode (reconfiguration, takes one cycle). */
     void setMode(BceMode mode);
+
+    /** Mode switches taken so far, indexed by target BceMode. */
+    const std::array<std::uint64_t, 3> &
+    modeSwitches() const
+    {
+        return switches_;
+    }
+
+    /**
+     * Book @p n more switches into @p mode without changing the
+     * current mode: one cycle each, charged in @p mode, as setMode
+     * charges a real one. A walk that serves m inputs in one pass
+     * books the switches m separate walks would have taken this way.
+     */
+    void chargeModeSwitches(BceMode mode, std::uint64_t n);
 
     /** Select the execution tier (exact either way; see file header). */
     void setTier(ExecTier tier) { _tier = tier; }
@@ -365,16 +381,17 @@ class Bce
     BceMode _mode = BceMode::Conv;
     ExecTier _tier = ExecTier::Legacy;
     BceStats stats_;
+    std::array<std::uint64_t, 3> switches_{}; ///< By target mode.
     mem::BceEnergyTallies flushed_; ///< Tallies already converted.
     lut::DatapathTable convTable4_, convTable8_; ///< Private, post-rewrite.
     /** Grow-only matmul-tile scratch: BT's column features when the
-     *  caller has none, one widened A row, an int8 BT packed at 4
-     *  bits, one padded A row for the packed kernel, and one unpacked
+     *  caller has none, every A row widened, an int8 BT packed at 4
+     *  bits, the staged A rows of the packed kernel, and one unpacked
      *  BT row for the Legacy walk and the domain check. */
     lut::ColumnFeatures tileB_;
     std::vector<std::int16_t> wideA_;
     lut::PackedTile packedB_;
-    std::vector<std::int8_t> packedRow_;
+    simd::PackedRows packedRows_;
     std::vector<std::int8_t> btRow_;
     /** Grow-only conv scratch: the weights dotProduct reads out of the
      *  sub-array. */

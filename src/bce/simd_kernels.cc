@@ -246,57 +246,68 @@ fold_tile_scalar(const std::int8_t *a, std::size_t m, std::size_t k,
     return mx;
 }
 
+/**
+ * Scalar tile products, BT row outermost: each BT row meets every A
+ * row while it is hot, so BT streams once per call, not once per row.
+ */
 void
 tile_products_scalar(const std::int8_t *a, const std::int8_t *bt,
                      std::int32_t *out, std::size_t m, std::size_t k,
                      std::size_t n)
 {
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::int8_t *bj = bt + j * k;
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::int8_t *ai = a + i * k;
             std::uint32_t acc = static_cast<std::uint32_t>(out[i * n + j]);
             for (std::size_t t = 0; t < k; ++t)
-                acc += static_cast<std::uint32_t>(
-                    std::int32_t{a[i * k + t]} * bt[j * k + t]);
+                acc += static_cast<std::uint32_t>(std::int32_t{ai[t]} * bj[t]);
             out[i * n + j] = static_cast<std::int32_t>(acc);
         }
     }
 }
 
 /**
- * Copy A row @p ai (@p k values) into @p row, zero-padded to @p padded
- * values, and return -8 * sum(ai) mod 2^32: the per-row term that
+ * Stage every A row once per call: row i (@p k values) goes to
+ * rows.bytes + i * padded, zero-padded to @p padded values, and
+ * rows.bias[i] takes -8 * sum(row i) mod 2^32, the per-row term that
  * turns the offset-nibble sums of a packed tile into the int8 product.
  */
-std::uint32_t
-stage_packed_row(const std::int8_t *ai, std::size_t k, std::size_t padded,
-                 std::int8_t *row)
+void
+stage_packed_rows(const std::int8_t *a, std::size_t m, std::size_t k,
+                  std::size_t padded, PackedRows &rows)
 {
-    std::copy(ai, ai + k, row);
-    std::fill(row + k, row + padded, std::int8_t{0});
-    std::uint32_t sum = 0;
-    for (std::size_t t = 0; t < k; ++t)
-        sum += static_cast<std::uint32_t>(std::int32_t{ai[t]});
-    return 0u - 8u * sum;
+    rows.bytes.resize(m * padded);
+    rows.bias.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::int8_t *ai = a + i * k;
+        std::int8_t *row = rows.bytes.data() + i * padded;
+        std::copy(ai, ai + k, row);
+        std::fill(row + k, row + padded, std::int8_t{0});
+        std::uint32_t sum = 0;
+        for (std::size_t t = 0; t < k; ++t)
+            sum += static_cast<std::uint32_t>(std::int32_t{ai[t]});
+        rows.bias[i] = 0u - 8u * sum;
+    }
 }
 
 /**
- * Scalar packed-tile products: per group of packed bytes (64, or 32 in
- * a trailing half group) the low nibbles meet the group's first run
- * of A and the high nibbles the run right after it (see
- * lut::PackedTile).
+ * Scalar packed-tile products over staged rows, BT row outermost: per
+ * group of packed bytes (64, or 32 in a trailing half group) the low
+ * nibbles meet the group's first run of A and the high nibbles the run
+ * right after it (see lut::PackedTile).
  */
 void
-tile_products_packed_scalar(const std::int8_t *a, const lut::PackedTile &bt,
-                            std::int32_t *out, std::size_t m,
-                            std::int8_t *row)
+tile_products_packed_scalar(const lut::PackedTile &bt, std::int32_t *out,
+                            std::size_t m, const PackedRows &rows)
 {
     const std::size_t k = bt.cols, n = bt.rows;
     const std::size_t rb = lut::PackedTile::rowBytes(k);
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint8_t *b = bt.row(j);
-            std::uint32_t acc = bias;
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::uint8_t *b = bt.row(j);
+        for (std::size_t i = 0; i < m; ++i) {
+            const std::int8_t *row = rows.bytes.data() + i * 2 * rb;
+            std::uint32_t acc = rows.bias[i];
             for (std::size_t s = 0; s < rb; s += 64) {
                 const std::size_t half = std::min<std::size_t>(64, rb - s);
                 const std::int8_t *lo = row + 2 * s;
@@ -856,178 +867,234 @@ fold_tile_avx2(const std::int8_t *a, std::size_t m, std::size_t k,
 }
 
 /**
- * AVX2 tile products: row i of A is widened to int16 once, then four
- * BT rows per pass are widened 16 bytes at a time and madd-ed against
- * it (|a*b| <= 2^14, so each madd pair fits int32; the int32 lane sums
- * wrap exactly like the scalar u32 accumulation). The k % 16 tail is
- * a scalar loop.
+ * Finish a register block: add each accumulator's mod-2^32 lane sum
+ * plus @p extra[r][c] (a scalar tail or a packed row's bias) into
+ * out[r * n + c]. A full column quad takes one hadd tree per row.
+ */
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx2"), always_inline)) inline void
+store_block(const __m256i (&acc)[R][C], const std::uint32_t (&extra)[R][C],
+            std::int32_t *out, std::size_t n)
+{
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+        std::int32_t *o = out + r * n;
+        if constexpr (C == 4) {
+            __m128i *dst = reinterpret_cast<__m128i *>(o);
+            _mm_storeu_si128(
+                dst, _mm_add_epi32(
+                         _mm_loadu_si128(dst),
+                         _mm_add_epi32(hsum4_u32x8(acc[r][0], acc[r][1],
+                                                   acc[r][2], acc[r][3]),
+                                       _mm_loadu_si128(
+                                           reinterpret_cast<const __m128i *>(
+                                               extra[r])))));
+        } else {
+            for (std::size_t c = 0; c < C; ++c)
+                o[c] = static_cast<std::int32_t>(
+                    static_cast<std::uint32_t>(o[c]) + wsum_u32x8(acc[r][c])
+                    + extra[r][c]);
+        }
+    }
+}
+
+/**
+ * One AVX2 register block of int8 tile products: the widened A rows
+ * [0, R) of @p wide (row stride @p ws) against the C consecutive BT
+ * rows from @p b0 on, added into out rows [0, R) (row stride @p n),
+ * columns [0, C). Each step widens the C BT rows' 16 bytes once and
+ * madds them against every row's widened A (|a*b| <= 2^14, so each
+ * madd pair fits int32; the int32 lane sums wrap exactly like the
+ * scalar u32 accumulation). The k % 16 tail is a scalar loop over the
+ * int8 rows @p a. At R = 1 this is the one-row loop.
+ */
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx2"), always_inline)) inline void
+tile_block_avx2(const std::int8_t *a, const std::int16_t *wide,
+                std::size_t ws, const std::int8_t *b0, std::size_t k,
+                std::int32_t *out, std::size_t n)
+{
+    const std::size_t kv = k / 16 * 16;
+    __m256i s[R][C];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            s[r][c] = _mm256_setzero_si256();
+    for (std::size_t t = 0; t < kv; t += 16) {
+        __m256i w[C];
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            w[c] = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(b0 + c * k + t)));
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256i av = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(wide + r * ws + t));
+#pragma GCC unroll 4
+            for (std::size_t c = 0; c < C; ++c)
+                s[r][c] = _mm256_add_epi32(s[r][c],
+                                           _mm256_madd_epi16(av, w[c]));
+        }
+    }
+    std::uint32_t tail[R][C] = {};
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t c = 0; c < C; ++c)
+            for (std::size_t t = kv; t < k; ++t)
+                tail[r][c] += static_cast<std::uint32_t>(
+                    std::int32_t{a[r * k + t]} * b0[c * k + t]);
+    store_block<R, C>(s, tail, out, n);
+}
+
+/**
+ * AVX2 tile products, BT column quad outermost: every A row is widened
+ * once into @p wide (row stride @p ws), then each quad of BT rows
+ * meets the A rows two at a time (a 2 x 4 block of accumulators fits
+ * the 16 ymm registers), so BT streams from memory once per call
+ * instead of once per A row. BT rows past the last full quad run one
+ * row and one column at a time.
  */
 __attribute__((target("avx2"))) void
 tile_products_avx2(const std::int8_t *a, const std::int8_t *bt,
                    std::int32_t *out, std::size_t m, std::size_t k,
-                   std::size_t n, std::int16_t *wide)
+                   std::size_t n, std::int16_t *wide, std::size_t ws)
 {
     const std::size_t kv = k / 16 * 16;
-    const auto tail = [&](const std::int8_t *ai, const std::int8_t *bj) {
-        std::uint32_t s = 0;
-        for (std::size_t t = kv; t < k; ++t)
-            s += static_cast<std::uint32_t>(std::int32_t{ai[t]} * bj[t]);
-        return s;
-    };
-#define BFREE_TILE_STEP_256(acc, row)                                    \
-    (acc) = _mm256_add_epi32(                                            \
-        (acc), _mm256_madd_epi16(                                        \
-                 av, _mm256_cvtepi8_epi16(_mm_loadu_si128(               \
-                         reinterpret_cast<const __m128i *>((row) + t)))))
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::int8_t *ai = a + i * k;
+    for (std::size_t i = 0; i < m; ++i)
         for (std::size_t t = 0; t < kv; t += 16)
             _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(wide + t),
+                reinterpret_cast<__m256i *>(wide + i * ws + t),
                 _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(ai + t))));
-        std::int32_t *oi = out + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const std::int8_t *b0 = bt + j * k, *b1 = b0 + k,
-                              *b2 = b1 + k, *b3 = b2 + k;
-            __m256i s0 = _mm256_setzero_si256();
-            __m256i s1 = s0, s2 = s0, s3 = s0;
-            for (std::size_t t = 0; t < kv; t += 16) {
-                const __m256i av = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wide + t));
-                BFREE_TILE_STEP_256(s0, b0);
-                BFREE_TILE_STEP_256(s1, b1);
-                BFREE_TILE_STEP_256(s2, b2);
-                BFREE_TILE_STEP_256(s3, b3);
-            }
-            const __m128i tails = _mm_setr_epi32(
-                static_cast<int>(tail(ai, b0)), static_cast<int>(tail(ai, b1)),
-                static_cast<int>(tail(ai, b2)), static_cast<int>(tail(ai, b3)));
-            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
-            _mm_storeu_si128(
-                dst, _mm_add_epi32(_mm_loadu_si128(dst),
-                                   _mm_add_epi32(hsum4_u32x8(s0, s1, s2, s3),
-                                                 tails)));
-        }
-        for (; j < n; ++j) {
-            const std::int8_t *b0 = bt + j * k;
-            __m256i s0 = _mm256_setzero_si256();
-            for (std::size_t t = 0; t < kv; t += 16) {
-                const __m256i av = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wide + t));
-                BFREE_TILE_STEP_256(s0, b0);
-            }
-            oi[j] = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(s0)
-                + tail(ai, b0));
-        }
+                    reinterpret_cast<const __m128i *>(a + i * k + t))));
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        std::size_t i = 0;
+        for (; i + 2 <= m; i += 2)
+            tile_block_avx2<2, 4>(a + i * k, wide + i * ws, ws, bt + j * k,
+                                  k, out + i * n + j, n);
+        if (i < m)
+            tile_block_avx2<1, 4>(a + i * k, wide + i * ws, ws, bt + j * k,
+                                  k, out + i * n + j, n);
     }
-#undef BFREE_TILE_STEP_256
+    for (; j < n; ++j)
+        for (std::size_t i = 0; i < m; ++i)
+            tile_block_avx2<1, 1>(a + i * k, wide + i * ws, ws, bt + j * k,
+                                  k, out + i * n + j, n);
 }
 
+#define BFREE_LOAD_256(p)                                                \
+    _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p))
+
 /**
- * AVX2 packed-tile products: four BT rows per pass; each 32-byte load
- * of packed weights splits into low and high nibbles, both meet their
- * A runs in one maddubs each (unsigned nibble x signed A, pair sums
- * <= 3840, so nothing saturates), and the int16 sums widen to int32
- * lanes by madd. A full group takes two loads, a half group one.
+ * One AVX2 register block of packed-tile products: the staged A rows
+ * [0, R) of @p rows (row stride @p rs, biases @p bias) against the C
+ * consecutive packed BT rows from @p b0 on (row stride @p rb), added
+ * into out rows [0, R), columns [0, C). Each 32-byte load of packed
+ * weights splits into low and high nibbles once, and both meet every
+ * row's A runs in one maddubs each (unsigned nibble x signed A, pair
+ * sums <= 3840, so nothing saturates); the int16 sums widen to int32
+ * lanes by madd. A full group takes two loads, a trailing half group
+ * one. At R = 1 this is the one-row loop.
  */
-__attribute__((target("avx2"))) void
-tile_products_packed_avx2(const std::int8_t *a, const lut::PackedTile &bt,
-                          std::int32_t *out, std::size_t m,
-                          std::int8_t *row)
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx2"), always_inline)) inline void
+packed_block_avx2(const std::int8_t *rows, std::size_t rs,
+                  const std::uint32_t *bias, const std::uint8_t *b0,
+                  std::size_t rb, std::int32_t *out, std::size_t n)
 {
-    const std::size_t k = bt.cols, n = bt.rows;
-    const std::size_t rb = lut::PackedTile::rowBytes(k);
     const std::size_t full = rb / 64 * 64;
     const __m256i nib = _mm256_set1_epi8(0x0F);
     const __m256i ones = _mm256_set1_epi16(1);
-#define BFREE_LOAD_256(p)                                                \
-    _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p))
-// Statement macros, not lambdas: a lambda inside a target("...")
-// function does not inherit the attribute (see BFREE_CLASSIFY_256).
-// The AVX-512 kernel reuses the 256-bit ones for its half group and
-// undefines them.
-#define BFREE_NIBBLE_DOT_256(dst, src, alo, ahi)                         \
-    do {                                                                 \
-        const __m256i x_ = BFREE_LOAD_256(src);                          \
-        (dst) = _mm256_add_epi16(                                        \
-            _mm256_maddubs_epi16(_mm256_and_si256(x_, nib), (alo)),      \
-            _mm256_maddubs_epi16(                                        \
-                _mm256_and_si256(_mm256_srli_epi16(x_, 4), nib), (ahi))); \
-    } while (0)
-#define BFREE_PACKED_STEP_256(acc, b)                                    \
-    do {                                                                 \
-        __m256i d0_, d1_;                                                \
-        BFREE_NIBBLE_DOT_256(d0_, (b) + s, a0, a2);                      \
-        BFREE_NIBBLE_DOT_256(d1_, (b) + s + 32, a1, a3);                 \
-        (acc) = _mm256_add_epi32(                                        \
-            (acc), _mm256_madd_epi16(_mm256_add_epi16(d0_, d1_), ones)); \
-    } while (0)
-#define BFREE_PACKED_HALF_256(acc, b)                                    \
-    do {                                                                 \
-        __m256i d_;                                                      \
-        BFREE_NIBBLE_DOT_256(d_, (b) + full, h0, h1);                    \
-        (acc) = _mm256_add_epi32((acc), _mm256_madd_epi16(d_, ones));    \
-    } while (0)
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
-        const bool half = full < rb;
-        const std::int8_t *hrow = row + 2 * full;
-        std::int32_t *oi = out + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const std::uint8_t *b0 = bt.row(j), *b1 = bt.row(j + 1),
-                               *b2 = bt.row(j + 2), *b3 = bt.row(j + 3);
-            __m256i s0 = _mm256_setzero_si256();
-            __m256i s1 = s0, s2 = s0, s3 = s0;
-            for (std::size_t s = 0; s < full; s += 64) {
-                const __m256i a0 = BFREE_LOAD_256(row + 2 * s);
-                const __m256i a1 = BFREE_LOAD_256(row + 2 * s + 32);
-                const __m256i a2 = BFREE_LOAD_256(row + 2 * s + 64);
-                const __m256i a3 = BFREE_LOAD_256(row + 2 * s + 96);
-                BFREE_PACKED_STEP_256(s0, b0);
-                BFREE_PACKED_STEP_256(s1, b1);
-                BFREE_PACKED_STEP_256(s2, b2);
-                BFREE_PACKED_STEP_256(s3, b3);
+    __m256i acc[R][C];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            acc[r][c] = _mm256_setzero_si256();
+    for (std::size_t s = 0; s < full; s += 64) {
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c) {
+            const std::uint8_t *bc = b0 + c * rb + s;
+            const __m256i x0 = BFREE_LOAD_256(bc);
+            const __m256i x1 = BFREE_LOAD_256(bc + 32);
+            const __m256i lo0 = _mm256_and_si256(x0, nib);
+            const __m256i hi0 =
+                _mm256_and_si256(_mm256_srli_epi16(x0, 4), nib);
+            const __m256i lo1 = _mm256_and_si256(x1, nib);
+            const __m256i hi1 =
+                _mm256_and_si256(_mm256_srli_epi16(x1, 4), nib);
+#pragma GCC unroll 16
+            for (std::size_t r = 0; r < R; ++r) {
+                const std::int8_t *ar = rows + r * rs + 2 * s;
+                const __m256i d0 = _mm256_add_epi16(
+                    _mm256_maddubs_epi16(lo0, BFREE_LOAD_256(ar)),
+                    _mm256_maddubs_epi16(hi0, BFREE_LOAD_256(ar + 64)));
+                const __m256i d1 = _mm256_add_epi16(
+                    _mm256_maddubs_epi16(lo1, BFREE_LOAD_256(ar + 32)),
+                    _mm256_maddubs_epi16(hi1, BFREE_LOAD_256(ar + 96)));
+                acc[r][c] = _mm256_add_epi32(
+                    acc[r][c],
+                    _mm256_madd_epi16(_mm256_add_epi16(d0, d1), ones));
             }
-            if (half) {
-                const __m256i h0 = BFREE_LOAD_256(hrow);
-                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
-                BFREE_PACKED_HALF_256(s0, b0);
-                BFREE_PACKED_HALF_256(s1, b1);
-                BFREE_PACKED_HALF_256(s2, b2);
-                BFREE_PACKED_HALF_256(s3, b3);
-            }
-            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
-            _mm_storeu_si128(
-                dst, _mm_add_epi32(
-                         _mm_loadu_si128(dst),
-                         _mm_add_epi32(hsum4_u32x8(s0, s1, s2, s3),
-                                       _mm_set1_epi32(
-                                           static_cast<int>(bias)))));
-        }
-        for (; j < n; ++j) {
-            const std::uint8_t *b0 = bt.row(j);
-            __m256i s0 = _mm256_setzero_si256();
-            for (std::size_t s = 0; s < full; s += 64) {
-                const __m256i a0 = BFREE_LOAD_256(row + 2 * s);
-                const __m256i a1 = BFREE_LOAD_256(row + 2 * s + 32);
-                const __m256i a2 = BFREE_LOAD_256(row + 2 * s + 64);
-                const __m256i a3 = BFREE_LOAD_256(row + 2 * s + 96);
-                BFREE_PACKED_STEP_256(s0, b0);
-            }
-            if (half) {
-                const __m256i h0 = BFREE_LOAD_256(hrow);
-                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
-                BFREE_PACKED_HALF_256(s0, b0);
-            }
-            oi[j] = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(s0) + bias);
         }
     }
-#undef BFREE_PACKED_STEP_256
+    if (full < rb) {
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c) {
+            const __m256i x = BFREE_LOAD_256(b0 + c * rb + full);
+            const __m256i lo = _mm256_and_si256(x, nib);
+            const __m256i hi =
+                _mm256_and_si256(_mm256_srli_epi16(x, 4), nib);
+#pragma GCC unroll 16
+            for (std::size_t r = 0; r < R; ++r) {
+                const std::int8_t *hr = rows + r * rs + 2 * full;
+                acc[r][c] = _mm256_add_epi32(
+                    acc[r][c],
+                    _mm256_madd_epi16(
+                        _mm256_add_epi16(
+                            _mm256_maddubs_epi16(lo, BFREE_LOAD_256(hr)),
+                            _mm256_maddubs_epi16(hi,
+                                                 BFREE_LOAD_256(hr + 32))),
+                        ones));
+            }
+        }
+    }
+    std::uint32_t extra[R][C];
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t c = 0; c < C; ++c)
+            extra[r][c] = bias[r];
+    store_block<R, C>(acc, extra, out, n);
+}
+
+/**
+ * AVX2 packed-tile products over staged rows, BT column quad
+ * outermost and A rows two at a time inside it (see
+ * packed_block_avx2), so the packed tile streams once per call. BT
+ * rows past the last full quad run one row and one column at a time.
+ */
+__attribute__((target("avx2"))) void
+tile_products_packed_avx2(const lut::PackedTile &bt, std::int32_t *out,
+                          std::size_t m, const PackedRows &rows)
+{
+    const std::size_t n = bt.rows;
+    const std::size_t rb = lut::PackedTile::rowBytes(bt.cols);
+    const std::size_t rs = 2 * rb;
+    const std::int8_t *staged = rows.bytes.data();
+    const std::uint32_t *bias = rows.bias.data();
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        std::size_t i = 0;
+        for (; i + 2 <= m; i += 2)
+            packed_block_avx2<2, 4>(staged + i * rs, rs, bias + i,
+                                    bt.row(j), rb, out + i * n + j, n);
+        if (i < m)
+            packed_block_avx2<1, 4>(staged + i * rs, rs, bias + i,
+                                    bt.row(j), rb, out + i * n + j, n);
+    }
+    for (; j < n; ++j)
+        for (std::size_t i = 0; i < m; ++i)
+            packed_block_avx2<1, 1>(staged + i * rs, rs, bias + i,
+                                    bt.row(j), rb, out + i * n + j, n);
 }
 
 /**
@@ -1144,168 +1211,235 @@ fold_tile_avx512(const std::int8_t *a, std::size_t m, std::size_t k,
                                       _mm512_extracti64x4_epi64(mx, 1)));
 }
 
+#define BFREE_FOLD_TO_256(v)                                             \
+    _mm256_add_epi32(_mm512_castsi512_si256(v),                          \
+                     _mm512_extracti64x4_epi64(v, 1))
+
 /**
- * AVX-512 tile products: the AVX2 scheme at 32 int16 lanes, with the
- * k % 32 tail as one more step whose masked BT loads zero the lanes
- * past k (the widened A row is zero-padded to match).
+ * One AVX-512 register block of int8 tile products: the AVX2 block at
+ * 32 int16 lanes, with the k % 32 tail as one more step whose masked
+ * BT loads zero the lanes past k (the widened A rows are zero-padded
+ * to match). A 4 x 4 block's sixteen accumulators plus the four
+ * widened BT vectors fit the 32 zmm registers.
  */
-__attribute__((target("avx512f,avx512bw,avx512vl"))) void
-tile_products_avx512(const std::int8_t *a, const std::int8_t *bt,
-                     std::int32_t *out, std::size_t m, std::size_t k,
-                     std::size_t n, std::int16_t *wide)
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx512f,avx512bw,avx512vl"),
+               always_inline)) inline void
+tile_block_avx512(const std::int16_t *wide, std::size_t ws,
+                  const std::int8_t *b0, std::size_t k, std::int32_t *out,
+                  std::size_t n)
 {
     const std::size_t steps = (k + 31) / 32;
     const __mmask32 tailLanes =
         k % 32 == 0 ? ~__mmask32{0} : (__mmask32{1} << (k % 32)) - 1;
-#define BFREE_TILE_LOAD_512(row, s)                                      \
-    _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(                        \
-        (s) + 1 == steps ? tailLanes : ~__mmask32{0}, (row) + (s) * 32))
-#define BFREE_TILE_STEP_512(acc, row)                                    \
-    (acc) = _mm512_add_epi32(                                            \
-        (acc), _mm512_madd_epi16(av, BFREE_TILE_LOAD_512(row, s)))
-#define BFREE_FOLD_TO_256(v)                                             \
-    _mm256_add_epi32(_mm512_castsi512_si256(v),                          \
-                     _mm512_extracti64x4_epi64(v, 1))
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::int8_t *ai = a + i * k;
-        for (std::size_t s = 0; s < steps; ++s)
-            _mm512_storeu_si512(wide + s * 32, BFREE_TILE_LOAD_512(ai, s));
-        std::int32_t *oi = out + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const std::int8_t *b0 = bt + j * k, *b1 = b0 + k,
-                              *b2 = b1 + k, *b3 = b2 + k;
-            __m512i s0 = _mm512_setzero_si512();
-            __m512i s1 = s0, s2 = s0, s3 = s0;
-            for (std::size_t s = 0; s < steps; ++s) {
-                const __m512i av = _mm512_loadu_si512(wide + s * 32);
-                BFREE_TILE_STEP_512(s0, b0);
-                BFREE_TILE_STEP_512(s1, b1);
-                BFREE_TILE_STEP_512(s2, b2);
-                BFREE_TILE_STEP_512(s3, b3);
-            }
-            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
-            _mm_storeu_si128(
-                dst, _mm_add_epi32(_mm_loadu_si128(dst),
-                                   hsum4_u32x8(BFREE_FOLD_TO_256(s0),
-                                               BFREE_FOLD_TO_256(s1),
-                                               BFREE_FOLD_TO_256(s2),
-                                               BFREE_FOLD_TO_256(s3))));
-        }
-        for (; j < n; ++j) {
-            const std::int8_t *b0 = bt + j * k;
-            __m512i s0 = _mm512_setzero_si512();
-            for (std::size_t s = 0; s < steps; ++s) {
-                const __m512i av = _mm512_loadu_si512(wide + s * 32);
-                BFREE_TILE_STEP_512(s0, b0);
-            }
-            oi[j] = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(oi[j])
-                + wsum_u32x8(BFREE_FOLD_TO_256(s0)));
+    __m512i s[R][C];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            s[r][c] = _mm512_setzero_si512();
+    for (std::size_t t = 0; t < steps; ++t) {
+        const __mmask32 lanes = t + 1 == steps ? tailLanes : ~__mmask32{0};
+        __m512i w[C];
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            w[c] = _mm512_cvtepi8_epi16(
+                _mm256_maskz_loadu_epi8(lanes, b0 + c * k + t * 32));
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m512i av = _mm512_loadu_si512(wide + r * ws + t * 32);
+#pragma GCC unroll 4
+            for (std::size_t c = 0; c < C; ++c)
+                s[r][c] = _mm512_add_epi32(s[r][c],
+                                           _mm512_madd_epi16(av, w[c]));
         }
     }
-#undef BFREE_FOLD_TO_256
-#undef BFREE_TILE_STEP_512
-#undef BFREE_TILE_LOAD_512
+    __m256i folded[R][C];
+    const std::uint32_t zero[R][C] = {};
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            folded[r][c] = BFREE_FOLD_TO_256(s[r][c]);
+    store_block<R, C>(folded, zero, out, n);
 }
 
 /**
- * AVX-512 packed-tile products: the AVX2 scheme with one 64-byte load
- * per full group (its low nibbles meet the group's first 64 A values,
- * its high nibbles the next 64); a trailing half group takes one
- * 256-bit step into a separate accumulator.
+ * AVX-512 tile products: the AVX2 structure (every A row widened once,
+ * BT column quad outermost) with A rows four at a time.
  */
 __attribute__((target("avx512f,avx512bw,avx512vl"))) void
-tile_products_packed_avx512(const std::int8_t *a,
-                            const lut::PackedTile &bt, std::int32_t *out,
-                            std::size_t m, std::int8_t *row)
+tile_products_avx512(const std::int8_t *a, const std::int8_t *bt,
+                     std::int32_t *out, std::size_t m, std::size_t k,
+                     std::size_t n, std::int16_t *wide, std::size_t ws)
 {
-    const std::size_t k = bt.cols, n = bt.rows;
-    const std::size_t rb = lut::PackedTile::rowBytes(k);
+    const std::size_t steps = (k + 31) / 32;
+    const __mmask32 tailLanes =
+        k % 32 == 0 ? ~__mmask32{0} : (__mmask32{1} << (k % 32)) - 1;
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t t = 0; t < steps; ++t)
+            _mm512_storeu_si512(
+                wide + i * ws + t * 32,
+                _mm512_cvtepi8_epi16(_mm256_maskz_loadu_epi8(
+                    t + 1 == steps ? tailLanes : ~__mmask32{0},
+                    a + i * k + t * 32)));
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const std::int8_t *bj = bt + j * k;
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4)
+            tile_block_avx512<4, 4>(wide + i * ws, ws, bj, k,
+                                    out + i * n + j, n);
+        switch (m - i) {
+          case 3:
+            tile_block_avx512<3, 4>(wide + i * ws, ws, bj, k,
+                                    out + i * n + j, n);
+            break;
+          case 2:
+            tile_block_avx512<2, 4>(wide + i * ws, ws, bj, k,
+                                    out + i * n + j, n);
+            break;
+          case 1:
+            tile_block_avx512<1, 4>(wide + i * ws, ws, bj, k,
+                                    out + i * n + j, n);
+            break;
+          default:
+            break;
+        }
+    }
+    for (; j < n; ++j)
+        for (std::size_t i = 0; i < m; ++i)
+            tile_block_avx512<1, 1>(wide + i * ws, ws, bt + j * k, k,
+                                    out + i * n + j, n);
+}
+
+/**
+ * One AVX-512 register block of packed-tile products: the AVX2 block
+ * with one 64-byte load per full group (its low nibbles meet the
+ * group's first 64 A values, its high nibbles the next 64); a
+ * trailing half group takes one 256-bit step into the folded
+ * accumulators.
+ */
+template <std::size_t R, std::size_t C>
+__attribute__((target("avx512f,avx512bw,avx512vl"),
+               always_inline)) inline void
+packed_block_avx512(const std::int8_t *rows, std::size_t rs,
+                    const std::uint32_t *bias, const std::uint8_t *b0,
+                    std::size_t rb, std::int32_t *out, std::size_t n)
+{
     const std::size_t full = rb / 64 * 64;
     const __m512i nib5 = _mm512_set1_epi8(0x0F);
     const __m512i ones5 = _mm512_set1_epi16(1);
-    const __m256i nib = _mm256_set1_epi8(0x0F);
-    const __m256i ones = _mm256_set1_epi16(1);
-#define BFREE_PACKED_STEP_512(acc, b)                                    \
-    do {                                                                 \
-        const __m512i x_ = _mm512_loadu_si512((b) + s);                  \
-        (acc) = _mm512_add_epi32(                                        \
-            (acc),                                                       \
-            _mm512_madd_epi16(                                           \
-                _mm512_add_epi16(                                        \
-                    _mm512_maddubs_epi16(_mm512_and_si512(x_, nib5),     \
-                                         alo),                           \
-                    _mm512_maddubs_epi16(                                \
-                        _mm512_and_si512(_mm512_srli_epi16(x_, 4),       \
-                                         nib5),                          \
-                        ahi)),                                           \
-                ones5));                                                 \
-    } while (0)
-#define BFREE_FOLD_TO_256(v)                                             \
-    _mm256_add_epi32(_mm512_castsi512_si256(v),                          \
-                     _mm512_extracti64x4_epi64(v, 1))
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t bias = stage_packed_row(a + i * k, k, 2 * rb, row);
-        const bool half = full < rb;
-        const std::int8_t *hrow = row + 2 * full;
-        std::int32_t *oi = out + i * n;
-        std::size_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            const std::uint8_t *b0 = bt.row(j), *b1 = bt.row(j + 1),
-                               *b2 = bt.row(j + 2), *b3 = bt.row(j + 3);
-            __m512i s0 = _mm512_setzero_si512();
-            __m512i s1 = s0, s2 = s0, s3 = s0;
-            for (std::size_t s = 0; s < full; s += 64) {
-                const __m512i alo = _mm512_loadu_si512(row + 2 * s);
-                const __m512i ahi = _mm512_loadu_si512(row + 2 * s + 64);
-                BFREE_PACKED_STEP_512(s0, b0);
-                BFREE_PACKED_STEP_512(s1, b1);
-                BFREE_PACKED_STEP_512(s2, b2);
-                BFREE_PACKED_STEP_512(s3, b3);
-            }
-            __m256i t0 = BFREE_FOLD_TO_256(s0), t1 = BFREE_FOLD_TO_256(s1),
-                    t2 = BFREE_FOLD_TO_256(s2), t3 = BFREE_FOLD_TO_256(s3);
-            if (half) {
-                const __m256i h0 = BFREE_LOAD_256(hrow);
-                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
-                BFREE_PACKED_HALF_256(t0, b0);
-                BFREE_PACKED_HALF_256(t1, b1);
-                BFREE_PACKED_HALF_256(t2, b2);
-                BFREE_PACKED_HALF_256(t3, b3);
-            }
-            __m128i *dst = reinterpret_cast<__m128i *>(oi + j);
-            _mm_storeu_si128(
-                dst, _mm_add_epi32(
-                         _mm_loadu_si128(dst),
-                         _mm_add_epi32(hsum4_u32x8(t0, t1, t2, t3),
-                                       _mm_set1_epi32(
-                                           static_cast<int>(bias)))));
+    __m512i acc5[R][C];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            acc5[r][c] = _mm512_setzero_si512();
+    for (std::size_t s = 0; s < full; s += 64) {
+        __m512i lo[C], hi[C];
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c) {
+            const __m512i x = _mm512_loadu_si512(b0 + c * rb + s);
+            lo[c] = _mm512_and_si512(x, nib5);
+            hi[c] = _mm512_and_si512(_mm512_srli_epi16(x, 4), nib5);
         }
-        for (; j < n; ++j) {
-            const std::uint8_t *b0 = bt.row(j);
-            __m512i s0 = _mm512_setzero_si512();
-            for (std::size_t s = 0; s < full; s += 64) {
-                const __m512i alo = _mm512_loadu_si512(row + 2 * s);
-                const __m512i ahi = _mm512_loadu_si512(row + 2 * s + 64);
-                BFREE_PACKED_STEP_512(s0, b0);
-            }
-            __m256i t0 = BFREE_FOLD_TO_256(s0);
-            if (half) {
-                const __m256i h0 = BFREE_LOAD_256(hrow);
-                const __m256i h1 = BFREE_LOAD_256(hrow + 32);
-                BFREE_PACKED_HALF_256(t0, b0);
-            }
-            oi[j] = static_cast<std::int32_t>(
-                static_cast<std::uint32_t>(oi[j]) + wsum_u32x8(t0) + bias);
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m512i alo = _mm512_loadu_si512(rows + r * rs + 2 * s);
+            const __m512i ahi =
+                _mm512_loadu_si512(rows + r * rs + 2 * s + 64);
+#pragma GCC unroll 4
+            for (std::size_t c = 0; c < C; ++c)
+                acc5[r][c] = _mm512_add_epi32(
+                    acc5[r][c],
+                    _mm512_madd_epi16(
+                        _mm512_add_epi16(_mm512_maddubs_epi16(lo[c], alo),
+                                         _mm512_maddubs_epi16(hi[c], ahi)),
+                        ones5));
         }
     }
-#undef BFREE_FOLD_TO_256
-#undef BFREE_PACKED_STEP_512
-#undef BFREE_PACKED_HALF_256
-#undef BFREE_NIBBLE_DOT_256
-#undef BFREE_LOAD_256
+    __m256i acc[R][C];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r)
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c)
+            acc[r][c] = BFREE_FOLD_TO_256(acc5[r][c]);
+    if (full < rb) {
+        const __m256i nib = _mm256_set1_epi8(0x0F);
+        const __m256i ones = _mm256_set1_epi16(1);
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < C; ++c) {
+            const __m256i x = BFREE_LOAD_256(b0 + c * rb + full);
+            const __m256i lo = _mm256_and_si256(x, nib);
+            const __m256i hi =
+                _mm256_and_si256(_mm256_srli_epi16(x, 4), nib);
+#pragma GCC unroll 16
+            for (std::size_t r = 0; r < R; ++r) {
+                const std::int8_t *hr = rows + r * rs + 2 * full;
+                acc[r][c] = _mm256_add_epi32(
+                    acc[r][c],
+                    _mm256_madd_epi16(
+                        _mm256_add_epi16(
+                            _mm256_maddubs_epi16(lo, BFREE_LOAD_256(hr)),
+                            _mm256_maddubs_epi16(hi,
+                                                 BFREE_LOAD_256(hr + 32))),
+                        ones));
+            }
+        }
+    }
+    std::uint32_t extra[R][C];
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t c = 0; c < C; ++c)
+            extra[r][c] = bias[r];
+    store_block<R, C>(acc, extra, out, n);
 }
+
+/**
+ * AVX-512 packed-tile products over staged rows: the AVX2 structure
+ * with A rows four at a time.
+ */
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void
+tile_products_packed_avx512(const lut::PackedTile &bt, std::int32_t *out,
+                            std::size_t m, const PackedRows &rows)
+{
+    const std::size_t n = bt.rows;
+    const std::size_t rb = lut::PackedTile::rowBytes(bt.cols);
+    const std::size_t rs = 2 * rb;
+    const std::int8_t *staged = rows.bytes.data();
+    const std::uint32_t *bias = rows.bias.data();
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        const std::uint8_t *bj = bt.row(j);
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4)
+            packed_block_avx512<4, 4>(staged + i * rs, rs, bias + i, bj, rb,
+                                      out + i * n + j, n);
+        switch (m - i) {
+          case 3:
+            packed_block_avx512<3, 4>(staged + i * rs, rs, bias + i, bj, rb,
+                                      out + i * n + j, n);
+            break;
+          case 2:
+            packed_block_avx512<2, 4>(staged + i * rs, rs, bias + i, bj, rb,
+                                      out + i * n + j, n);
+            break;
+          case 1:
+            packed_block_avx512<1, 4>(staged + i * rs, rs, bias + i, bj, rb,
+                                      out + i * n + j, n);
+            break;
+          default:
+            break;
+        }
+    }
+    for (; j < n; ++j)
+        for (std::size_t i = 0; i < m; ++i)
+            packed_block_avx512<1, 1>(staged + i * rs, rs, bias + i,
+                                      bt.row(j), rb, out + i * n + j, n);
+}
+
+#undef BFREE_FOLD_TO_256
+#undef BFREE_LOAD_256
 
 /**
  * AVX2 PWL span, four doubles per step. Every step is the scalar
@@ -1463,15 +1597,16 @@ tile_products(const std::int8_t *a, const std::int8_t *bt,
               std::int32_t *out, std::size_t m, std::size_t k,
               std::size_t n, std::vector<std::int16_t> &wide)
 {
-    // Room for one A row rounded up to the widest step (32 lanes).
-    wide.resize((k + 31) / 32 * 32);
+    // Room for every A row rounded up to the widest step (32 lanes).
+    const std::size_t ws = (k + 31) / 32 * 32;
+    wide.resize(m * ws);
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512:
-        tile_products_avx512(a, bt, out, m, k, n, wide.data());
+        tile_products_avx512(a, bt, out, m, k, n, wide.data(), ws);
         return;
       case sim::SimdLevel::Avx2:
-        tile_products_avx2(a, bt, out, m, k, n, wide.data());
+        tile_products_avx2(a, bt, out, m, k, n, wide.data(), ws);
         return;
 #endif
       default:
@@ -1482,21 +1617,21 @@ tile_products(const std::int8_t *a, const std::int8_t *bt,
 
 void
 tile_products(const std::int8_t *a, const lut::PackedTile &bt,
-              std::int32_t *out, std::size_t m,
-              std::vector<std::int8_t> &row)
+              std::int32_t *out, std::size_t m, PackedRows &rows)
 {
-    row.resize(2 * lut::PackedTile::rowBytes(bt.cols));
+    stage_packed_rows(a, m, bt.cols,
+                      2 * lut::PackedTile::rowBytes(bt.cols), rows);
     switch (sim::active_simd_level()) {
 #ifdef BFREE_X86_KERNELS
       case sim::SimdLevel::Avx512:
-        tile_products_packed_avx512(a, bt, out, m, row.data());
+        tile_products_packed_avx512(bt, out, m, rows);
         return;
       case sim::SimdLevel::Avx2:
-        tile_products_packed_avx2(a, bt, out, m, row.data());
+        tile_products_packed_avx2(bt, out, m, rows);
         return;
 #endif
       default:
-        tile_products_packed_scalar(a, bt, out, m, row.data());
+        tile_products_packed_scalar(bt, out, m, rows);
         return;
     }
 }

@@ -107,25 +107,36 @@ FeatureSums fold_tile(const std::int8_t *a, std::size_t m, std::size_t k,
 /**
  * The products of an m x k by n x k tile: out[i*n + j] +=
  * dot(a[i], bt[j]), accumulated mod 2^32 (any summation order gives
- * the same wrapped sum). @p wide is grow-only scratch for one widened
- * row of A. Never reads past the last byte of either operand.
+ * the same wrapped sum). Every A row is widened once into @p wide
+ * (grow-only scratch), then BT is walked four rows at a time with A's
+ * rows in register blocks inside, so BT streams once per call rather
+ * than once per A row. Never reads past the last byte of either
+ * operand.
  */
 void tile_products(const std::int8_t *a, const std::int8_t *bt,
                    std::int32_t *out, std::size_t m, std::size_t k,
                    std::size_t n, std::vector<std::int16_t> &wide);
 
+/** Grow-only scratch of the packed tile kernel: every A row staged
+ *  zero-padded to whole groups, and each row's -8 * sum(row) term. */
+struct PackedRows
+{
+    std::vector<std::int8_t> bytes;
+    std::vector<std::uint32_t> bias;
+};
+
 /**
  * The products of an m x k A tile against a 4-bit packed n x k BT
  * tile (k = bt.cols, n = bt.rows): out[i*n + j] += dot(a[i], bt[j]),
  * accumulated mod 2^32 — the same sums the int8 tile_products gives on
- * the unpacked tile. Each nibble w + 8 is multiplied by A with an
- * unsigned-by-signed byte multiply-add, then 8 * sum(a[i]) is
- * subtracted per row. @p row is grow-only scratch for one zero-padded
- * row of A. Never reads past A's last byte or BT's last row.
+ * the unpacked tile. Every A row is staged once into @p rows; each
+ * nibble w + 8 is multiplied by A with an unsigned-by-signed byte
+ * multiply-add, then 8 * sum(a[i]) is subtracted per row. BT is walked
+ * four rows at a time with A's rows in register blocks inside. Never
+ * reads past A's last byte or BT's last row.
  */
 void tile_products(const std::int8_t *a, const lut::PackedTile &bt,
-                   std::int32_t *out, std::size_t m,
-                   std::vector<std::int8_t> &row);
+                   std::int32_t *out, std::size_t m, PackedRows &rows);
 
 /**
  * Evaluate @p table at @p n doubles: y[i] = table.evaluate(x[i]),

@@ -173,63 +173,71 @@ FunctionalExecutor::runConvInto(const PlannedLayer &pl, unsigned bits,
 
 void
 FunctionalExecutor::runFcInto(const PlannedLayer &pl, unsigned bits,
-                              const float *in, float *out)
+                              const float *in, float *out, std::size_t m,
+                              std::size_t stride)
 {
     const dnn::Layer &layer = pl.layer;
     const dnn::QuantizedWeights &fw = pl.frozen[0];
-    const SymQuant qi = choose_sym(in, pl.inElems, bits);
+    const std::size_t k = layer.inFeatures;
+    const std::size_t n = layer.outFeatures;
 
     // FC layers run on the matmul-mode broadcast datapath.
     bce.setMode(bce::BceMode::Matmul);
-    std::int8_t *qin = arena_.alloc<std::int8_t>(layer.inFeatures);
-    if (bits <= 8) {
-        dnn::quantize_span(qi, in, layer.inFeatures, qin);
-    } else {
-        // 16-bit values historically truncate into the int8 scratch
-        // (the broadcast path consumes them lane-wise); keep that
-        // byte-exact rather than routing through the int8 span.
-        for (unsigned i = 0; i < layer.inFeatures; ++i)
-            qin[i] = static_cast<std::int8_t>(qi.q(in[i]));
-    }
-
     if (bits <= 8) {
         // The frozen [outFeatures][inFeatures] matrix already is the
-        // transposed-B tile matmulTile wants, so the whole layer is
-        // one blocked GEMM over the LUT datapath, tallied against the
-        // column features summed at plan compile.
-        const std::size_t k = layer.inFeatures;
-        const std::size_t n = layer.outFeatures;
-        std::int32_t *accs = arena_.alloc<std::int32_t>(n);
-        std::fill(accs, accs + n, 0);
-        run_frozen_tile(bce, qin, fw, accs, 1, k, n);
-        for (unsigned o = 0; o < layer.outFeatures; ++o)
-            out[o] = static_cast<float>(accs[o] * fw.scale.scale
-                                        * qi.scale)
-                     + pl.bias[o];
+        // transposed-B tile matmulTile wants, so all m rows, each
+        // quantized at its own scale, are one blocked GEMM over the LUT
+        // datapath: the weights are read once for the whole walk, and
+        // the tally is folded against the column features summed at
+        // plan compile (one m-row tile books what m one-row tiles do).
+        rowScale_.resize(std::max(rowScale_.size(), m));
+        std::int8_t *qin = arena_.alloc<std::int8_t>(m * k);
+        for (std::size_t r = 0; r < m; ++r) {
+            const SymQuant qi = choose_sym(in + r * stride, k, bits);
+            rowScale_[r] = qi.scale;
+            dnn::quantize_span(qi, in + r * stride, k, qin + r * k);
+        }
+        std::int32_t *accs = arena_.alloc<std::int32_t>(m * n);
+        std::fill(accs, accs + m * n, 0);
+        run_frozen_tile(bce, qin, fw, accs, m, k, n);
+        for (std::size_t r = 0; r < m; ++r)
+            for (std::size_t o = 0; o < n; ++o)
+                out[r * stride + o] =
+                    static_cast<float>(accs[r * n + o] * fw.scale.scale
+                                       * rowScale_[r])
+                    + pl.bias[o];
         return;
     }
 
-    // 16-bit weights exceed the int8 span; broadcast them one at a
-    // time as before.
-    for (unsigned o = 0; o < layer.outFeatures; ++o) {
-        std::int64_t acc = 0;
-        const std::size_t row = std::size_t(o) * layer.inFeatures;
-        for (unsigned i = 0; i < layer.inFeatures; i += 8) {
-            const std::size_t n =
-                std::min<std::size_t>(8, layer.inFeatures - i);
-            std::int32_t lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-            // Broadcast each weight against up to 8 input lanes.
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::int32_t wq = fw.q32[row + i + j];
-                std::int32_t lane = 0;
-                bce.broadcastMac(wq, &qin[i + j], 1, &lane, bits);
-                lanes[j] = lane;
+    // 16-bit values historically truncate into the int8 scratch (the
+    // broadcast path consumes them lane-wise), and 16-bit weights
+    // exceed the int8 span: broadcast them one at a time, row by row.
+    std::int8_t *qin = arena_.alloc<std::int8_t>(k);
+    for (std::size_t r = 0; r < m; ++r) {
+        const float *row = in + r * stride;
+        const SymQuant qi = choose_sym(row, k, bits);
+        for (std::size_t i = 0; i < k; ++i)
+            qin[i] = static_cast<std::int8_t>(qi.q(row[i]));
+        for (std::size_t o = 0; o < n; ++o) {
+            std::int64_t acc = 0;
+            const std::size_t base = o * k;
+            for (std::size_t i = 0; i < k; i += 8) {
+                const std::size_t len = std::min<std::size_t>(8, k - i);
+                std::int32_t lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+                // Broadcast each weight against up to 8 input lanes.
+                for (std::size_t j = 0; j < len; ++j) {
+                    const std::int32_t wq = fw.q32[base + i + j];
+                    std::int32_t lane = 0;
+                    bce.broadcastMac(wq, &qin[i + j], 1, &lane, bits);
+                    lanes[j] = lane;
+                }
+                for (std::size_t j = 0; j < len; ++j)
+                    acc += lanes[j];
             }
-            for (std::size_t j = 0; j < n; ++j)
-                acc += lanes[j];
+            out[r * stride + o] =
+                static_cast<float>(acc * fw.scale.scale * qi.scale)
+                + pl.bias[o];
         }
-        out[o] = static_cast<float>(acc * fw.scale.scale * qi.scale)
-                 + pl.bias[o];
     }
 }
 
@@ -327,6 +335,72 @@ FunctionalExecutor::runSoftmaxInto(const PlannedLayer &pl,
 }
 
 void
+FunctionalExecutor::runRowInto(const PlannedLayer &pl, unsigned bits,
+                               const float *in, float *out)
+{
+    switch (pl.layer.kind) {
+      case dnn::LayerKind::Conv:
+        runConvInto(pl, bits, in, out);
+        break;
+      case dnn::LayerKind::Relu:
+      case dnn::LayerKind::Sigmoid:
+      case dnn::LayerKind::Tanh:
+        runActivationInto(pl, in, out);
+        break;
+      case dnn::LayerKind::MaxPool:
+      case dnn::LayerKind::AvgPool:
+        runPoolInto(pl, in, out);
+        break;
+      case dnn::LayerKind::Softmax:
+        runSoftmaxInto(pl, in, out);
+        break;
+      default:
+        bfree_fatal("functional path does not execute layer kind '",
+                    dnn::layer_kind_name(pl.layer.kind), "'");
+    }
+}
+
+void
+FunctionalExecutor::walkInto(const NetworkPlan &plan,
+                             const float *const *inputs,
+                             float *const *outputs, std::size_t m)
+{
+    arena_.reserve(plan.arenaBytes(m));
+    arena_.reset();
+    // Restart the high-water mark so highWater() reports the peak of
+    // the plan actually run — a smaller plan run after a larger one
+    // must show the shrink instead of the old plan's ghost.
+    arena_.resetHighWater();
+    const std::size_t stride = plan.stats().maxActivationElems;
+    float *cur = arena_.alloc<float>(m * stride);
+    float *next = arena_.alloc<float>(m * stride);
+    for (std::size_t r = 0; r < m; ++r)
+        std::copy(inputs[r], inputs[r] + plan.inputElems(),
+                  cur + r * stride);
+
+    const unsigned bits = plan.bits();
+    for (const PlannedLayer &pl : plan.layers()) {
+        const dnn::TensorArena::Marker marker = arena_.mark();
+        if (pl.layer.kind == dnn::LayerKind::Fc) {
+            runFcInto(pl, bits, cur, next, m, stride);
+        } else {
+            for (std::size_t r = 0; r < m; ++r) {
+                runRowInto(pl, bits, cur + r * stride, next + r * stride);
+                arena_.release(marker);
+            }
+        }
+        arena_.release(marker);
+        std::swap(cur, next);
+    }
+
+    for (std::size_t r = 0; r < m; ++r) {
+        std::copy(cur + r * stride, cur + r * stride + plan.outputElems(),
+                  outputs[r]);
+        plan.noteRun();
+    }
+}
+
+void
 FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
                             std::size_t inElems, float *output,
                             std::size_t outElems)
@@ -337,50 +411,28 @@ FunctionalExecutor::runInto(const NetworkPlan &plan, const float *input,
     if (outElems != plan.outputElems())
         bfree_fatal("plan run: output of ", outElems, " elements, plan "
                     "produces ", plan.outputElems());
+    walkInto(plan, &input, &output, 1);
+}
 
-    const PlanStats &ps = plan.stats();
-    arena_.reserve(ps.arenaBytes);
-    arena_.reset();
-    // Restart the high-water mark so highWater() reports the peak of
-    // the plan actually run — a smaller plan run after a larger one
-    // must show the shrink instead of the old plan's ghost.
-    arena_.resetHighWater();
-    float *cur = arena_.alloc<float>(ps.maxActivationElems);
-    float *next = arena_.alloc<float>(ps.maxActivationElems);
-    std::copy(input, input + inElems, cur);
-
-    const unsigned bits = plan.bits();
-    for (const PlannedLayer &pl : plan.layers()) {
-        const dnn::TensorArena::Marker marker = arena_.mark();
-        switch (pl.layer.kind) {
-          case dnn::LayerKind::Conv:
-            runConvInto(pl, bits, cur, next);
-            break;
-          case dnn::LayerKind::Fc:
-            runFcInto(pl, bits, cur, next);
-            break;
-          case dnn::LayerKind::Relu:
-          case dnn::LayerKind::Sigmoid:
-          case dnn::LayerKind::Tanh:
-            runActivationInto(pl, cur, next);
-            break;
-          case dnn::LayerKind::MaxPool:
-          case dnn::LayerKind::AvgPool:
-            runPoolInto(pl, cur, next);
-            break;
-          case dnn::LayerKind::Softmax:
-            runSoftmaxInto(pl, cur, next);
-            break;
-          default:
-            bfree_fatal("functional path does not execute layer kind '",
-                        dnn::layer_kind_name(pl.layer.kind), "'");
-        }
-        arena_.release(marker);
-        std::swap(cur, next);
-    }
-
-    std::copy(cur, cur + outElems, output);
-    plan.noteRun();
+void
+FunctionalExecutor::runBatchInto(const NetworkPlan &plan,
+                                 const float *const *inputs,
+                                 float *const *outputs, std::size_t m)
+{
+    if (bce.mode() != bce::BceMode::Conv)
+        bfree_panic("runBatchInto needs a parked datapath");
+    if (m == 0)
+        return;
+    const std::array<std::uint64_t, 3> before = bce.modeSwitches();
+    walkInto(plan, inputs, outputs, m);
+    parkDatapath();
+    // From the parked state every input walks the same modes, so the
+    // switches this walk took are one input's; m sequential walks would
+    // have taken them m times.
+    const std::array<std::uint64_t, 3> after = bce.modeSwitches();
+    for (std::size_t i = 0; i < after.size(); ++i)
+        bce.chargeModeSwitches(static_cast<bce::BceMode>(i),
+                               (m - 1) * (after[i] - before[i]));
 }
 
 FunctionalResult
@@ -643,48 +695,55 @@ run_functional_batch(const NetworkPlan &plan,
     return run_functional_batch(plan, borrowed, opts);
 }
 
+BatchWorkers::BatchWorkers(const BatchOptions &opts)
+    : opts_(opts), pool_(opts.threads)
+{}
+
 BatchResult
-run_functional_batch(const NetworkPlan &plan,
-                     const std::vector<const dnn::FloatTensor *> &inputs,
-                     const BatchOptions &opts)
+BatchWorkers::run(const NetworkPlan &plan,
+                  const std::vector<const dnn::FloatTensor *> &inputs)
 {
     BatchResult result;
     const std::size_t n = inputs.size();
     result.outputs.reserve(n);
-    for (const dnn::FloatTensor *in : inputs) {
-        if (in == nullptr)
+    std::vector<const float *> in(n);
+    std::vector<float *> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const dnn::FloatTensor *t = inputs[i];
+        if (t == nullptr)
             bfree_fatal("null input tensor in batch dispatch");
-        if (in->size() != plan.inputElems())
-            bfree_fatal("batch input of ", in->size(), " elements, plan "
+        if (t->size() != plan.inputElems())
+            bfree_fatal("batch input of ", t->size(), " elements, plan "
                         "expects ", plan.inputElems());
         // The executor quantizes these user buffers straight into
         // 64-byte-aligned arena spans; the float loads themselves only
         // need natural alignment, but a buffer that misses even that
         // points at a caller-side lifetime or aliasing bug — refuse it
         // here with a usable message rather than faulting in a kernel.
-        if (reinterpret_cast<std::uintptr_t>(in->data())
-                % alignof(float) != 0)
+        if (reinterpret_cast<std::uintptr_t>(t->data()) % alignof(float)
+            != 0)
             bfree_fatal("batch input tensor data at ",
-                        static_cast<const void *>(in->data()),
+                        static_cast<const void *>(t->data()),
                         " is not aligned for float access; pass "
                         "naturally-aligned buffers to "
                         "run_functional_batch");
-        result.outputs.emplace_back(plan.outputShape());
+        in[i] = t->data();
+        out[i] = result.outputs.emplace_back(plan.outputShape()).data();
     }
     if (n == 0)
         return result;
 
-    const unsigned threads = sim::resolve_threads(opts.threads);
-    const std::size_t chunks = std::min<std::size_t>(threads, n);
+    const std::size_t chunks = std::min<std::size_t>(pool_.threads(), n);
     const std::size_t per = (n + chunks - 1) / chunks;
+    if (execs_.size() < chunks)
+        execs_.resize(chunks);
 
-    // Contiguous chunks, one executor each: the arena is sized once per
-    // worker, and the datapath tables are the process-wide shared ones
-    // (seeded once per process, not per call). Each input's BCE
-    // activity is captured as a snapshot delta into its
-    // own slot, then reduced in input order below — integer sums in a
-    // fixed order, so the totals cannot depend on scheduling.
-    std::vector<bce::BceStats> perInput(n);
+    // Contiguous chunks, one warm executor each. A chunk's BCE activity
+    // is captured as a snapshot delta into its own slot, then reduced
+    // in chunk order below — integer sums, so the totals equal the
+    // per-input sums of a sequential loop and cannot depend on
+    // scheduling or on what earlier batches ran.
+    std::vector<bce::BceStats> perChunk(chunks);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(chunks);
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -692,30 +751,21 @@ run_functional_batch(const NetworkPlan &plan,
         const std::size_t end = std::min(n, begin + per);
         if (begin >= end)
             break;
-        tasks.push_back([&plan, &inputs, &result, &perInput, &opts,
-                         begin, end] {
-            FunctionalExecutor exec(opts.geom, opts.tech, opts.tier);
-            for (std::size_t i = begin; i < end; ++i) {
-                const bce::BceStats before = exec.stats();
-                exec.runInto(plan, inputs[i]->data(), inputs[i]->size(),
-                             result.outputs[i].data(),
-                             result.outputs[i].size());
-                // Park the datapath back in conv mode INSIDE the
-                // measured window: the delta then includes the
-                // return-to-conv switch and every input starts from
-                // the same mode, making the per-input delta
-                // independent of the input's position in its chunk —
-                // which is what keeps batch statistics bit-identical
-                // across thread counts.
-                exec.parkDatapath();
-                perInput[i] = exec.stats() - before;
-            }
+        tasks.push_back([this, &plan, &in, &out, &perChunk, c, begin,
+                         end] {
+            std::unique_ptr<FunctionalExecutor> &exec = execs_[c];
+            if (!exec)
+                exec = std::make_unique<FunctionalExecutor>(
+                    opts_.geom, opts_.tech, opts_.tier);
+            const bce::BceStats before = exec->stats();
+            exec->runBatchInto(plan, in.data() + begin, out.data() + begin,
+                               end - begin);
+            perChunk[c] = exec->stats() - before;
         });
     }
-    sim::ThreadPool pool(threads);
-    pool.run(std::move(tasks));
+    pool_.run(std::move(tasks));
 
-    for (const bce::BceStats &s : perInput)
+    for (const bce::BceStats &s : perChunk)
         result.stats += s;
 
     // One bulk energy conversion from the summed integer tallies — the
@@ -729,8 +779,16 @@ run_functional_batch(const NetworkPlan &plan,
     tallies.lutReadsCache = result.stats.lutReadsCache;
     tallies.specialLutEvents = result.stats.specialLutEvents;
     tallies.cyclesByMode = result.stats.cyclesByMode;
-    mem::MicroOpEnergyModel(opts.tech).deposit(tallies, result.energy);
+    mem::MicroOpEnergyModel(opts_.tech).deposit(tallies, result.energy);
     return result;
+}
+
+BatchResult
+run_functional_batch(const NetworkPlan &plan,
+                     const std::vector<const dnn::FloatTensor *> &inputs,
+                     const BatchOptions &opts)
+{
+    return BatchWorkers(opts).run(plan, inputs);
 }
 
 } // namespace bfree::core

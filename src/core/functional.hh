@@ -15,17 +15,24 @@
  * from one pre-sized TensorArena with zero heap allocations. The
  * legacy one-shot entry points remain and simply compile a throwaway
  * plan, so they are bit-identical to the plan path by construction.
- * run_functional_batch() amortizes one plan across many inputs on the
- * work-stealing pool with outputs, statistics and energy bit-identical
- * to the sequential loop at any thread count. The memoized datapath
- * tables behind the tiered BCE are seeded once per process and shared
- * read-only by every executor, so a fresh executor's first run pays no
- * table seeding (see lut/datapath_table.hh).
+ * One walk serves m inputs at once: every FC layer runs as one m-row
+ * tile (each row at its own activation scale), so its frozen weights
+ * are read once per walk instead of once per input; every other layer
+ * runs its one-input code once per row. BatchWorkers keeps a pool and
+ * one executor per worker warm across batches and feeds each worker a
+ * contiguous chunk of inputs as one such walk; run_functional_batch()
+ * is a one-off BatchWorkers. Outputs, statistics and energy are
+ * bit-identical to the sequential loop at any thread count. The
+ * memoized datapath tables behind the tiered BCE are seeded once per
+ * process and shared read-only by every executor, so a fresh
+ * executor's first run pays no table seeding (see
+ * lut/datapath_table.hh).
  */
 
 #ifndef BFREE_CORE_FUNCTIONAL_HH
 #define BFREE_CORE_FUNCTIONAL_HH
 
+#include <memory>
 #include <vector>
 
 #include "bce/bce.hh"
@@ -38,6 +45,7 @@
 #include "lut/division.hh"
 #include "lut/pwl.hh"
 #include "mem/subarray.hh"
+#include "sim/parallel.hh"
 #include "sim/random.hh"
 #include "tech/geometry.hh"
 #include "tech/tech_params.hh"
@@ -86,6 +94,18 @@ class FunctionalExecutor
     void runInto(const NetworkPlan &plan, const float *input,
                  std::size_t inElems, float *output,
                  std::size_t outElems);
+
+    /**
+     * Run @p plan over @p m inputs in one walk: inputs[i] holds
+     * plan.inputElems() floats, outputs[i] takes plan.outputElems().
+     * The datapath must start parked and is left parked. Outputs, BCE
+     * statistics and energy are bitwise what m calls of runInto() each
+     * followed by parkDatapath() produce: the walk takes one input's
+     * mode switches, so it books the other m - 1 inputs' switches
+     * (one cycle each, in the mode switched to) on top.
+     */
+    void runBatchInto(const NetworkPlan &plan, const float *const *inputs,
+                      float *const *outputs, std::size_t m);
 
     /**
      * One-shot convenience: compile a throwaway plan for @p net and run
@@ -185,12 +205,27 @@ class FunctionalExecutor
     bce::ExecTier tier() const { return bce.tier(); }
 
   private:
+    /**
+     * The one plan walk: @p m inputs, each activation row at a fixed
+     * stride in the two ping-pong buffers. FC layers take all m rows
+     * at once; every other layer runs once per row. runInto() is its
+     * m = 1 case.
+     */
+    void walkInto(const NetworkPlan &plan, const float *const *inputs,
+                  float *const *outputs, std::size_t m);
+
+    /** One row through a layer other than FC. */
+    void runRowInto(const PlannedLayer &pl, unsigned bits,
+                    const float *in, float *out);
+
     /** Conv over im2col patches, frozen filter bank, arena scratch. */
     void runConvInto(const PlannedLayer &pl, unsigned bits,
                      const float *in, float *out);
 
-    void runFcInto(const PlannedLayer &pl, unsigned bits,
-                   const float *in, float *out);
+    /** @p m FC rows, row r at in/out + r * @p stride: one m-row tile
+     *  at <= 8 bits, one broadcast walk per row above. */
+    void runFcInto(const PlannedLayer &pl, unsigned bits, const float *in,
+                   float *out, std::size_t m, std::size_t stride);
 
     void runActivationInto(const PlannedLayer &pl, const float *in,
                            float *out);
@@ -233,6 +268,8 @@ class FunctionalExecutor
     lut::PwlTable tanhTable;
     lut::PwlTable expTable;
     dnn::TensorArena arena_;
+    /** Grow-only: each FC row's activation scale. */
+    std::vector<double> rowScale_;
 };
 
 /** Knobs for a batched plan run. */
@@ -260,10 +297,37 @@ struct BatchResult
 };
 
 /**
- * Run @p plan over every input, fanning out across the work-stealing
- * pool in contiguous chunks (one executor per chunk, so the arena is
- * sized once per worker, not per input; the datapath tables are shared
- * process-wide).
+ * Warm batch workers: a work-stealing pool and one executor per worker
+ * that live across run() calls, so a batch pays neither thread spawn
+ * nor executor construction, and each arena keeps its size. A batch of
+ * n inputs is cut into min(threads, n) contiguous chunks of
+ * ceil(n / chunks) inputs; chunk c runs on executor c as one
+ * FunctionalExecutor::runBatchInto walk. Outputs, statistics and
+ * energy are bit-identical to a sequential loop for any thread count,
+ * and do not depend on what earlier batches ran.
+ */
+class BatchWorkers
+{
+  public:
+    explicit BatchWorkers(const BatchOptions &opts = {});
+
+    /** Run @p plan over borrowed @p inputs (see run_functional_batch);
+     *  null or mis-sized inputs are fatal. */
+    BatchResult run(const NetworkPlan &plan,
+                    const std::vector<const dnn::FloatTensor *> &inputs);
+
+  private:
+    BatchOptions opts_;
+    sim::ThreadPool pool_;
+    /** Executor per chunk index, built on the first batch that needs
+     *  it, inside its task. */
+    std::vector<std::unique_ptr<FunctionalExecutor>> execs_;
+};
+
+/**
+ * Run @p plan over every input on a one-off BatchWorkers: contiguous
+ * chunks across the work-stealing pool, each one multi-row walk on its
+ * own executor (the datapath tables are shared process-wide).
  * Outputs, statistics and energy are bit-identical to a sequential
  * loop for any thread count.
  */

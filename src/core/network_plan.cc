@@ -74,6 +74,21 @@ plan_fail(std::string *err, Args &&...args)
 }
 
 /**
+ * Arena bytes runFcInto allocates for @p rows rows: at <= 8 bits the
+ * quantized rows and the int32 accumulators of one rows-row tile,
+ * above that one quantized row reused by every row.
+ */
+std::size_t
+fc_scratch_bytes(const dnn::Layer &layer, unsigned bits, std::size_t rows)
+{
+    if (bits > 8)
+        return TensorArena::paddedBytes<std::int8_t>(layer.inFeatures);
+    return TensorArena::paddedBytes<std::int8_t>(rows * layer.inFeatures)
+           + TensorArena::paddedBytes<std::int32_t>(rows
+                                                    * layer.outFeatures);
+}
+
+/**
  * The dry planning pass: walk the layers tracking activation shape and
  * element counts, and record each layer's scratch requirement through
  * the exact same TensorArena::paddedBytes the runtime allocates with.
@@ -147,12 +162,7 @@ plan_shapes(const dnn::Network &net, unsigned bits,
                 return plan_fail(err, "plan: fc '", layer.name,
                                  "': flattened input of ", elems,
                                  " != ", layer.inFeatures);
-            pl.scratchBytes = TensorArena::paddedBytes<std::int8_t>(
-                layer.inFeatures);
-            if (bits <= 8)
-                pl.scratchBytes +=
-                    TensorArena::paddedBytes<std::int32_t>(
-                        layer.outFeatures);
+            pl.scratchBytes = fc_scratch_bytes(layer, bits, 1);
             shape = {layer.outFeatures, std::size_t(1), std::size_t(1)};
             elems = layer.outFeatures;
             break;
@@ -211,6 +221,22 @@ plan_shapes(const dnn::Network &net, unsigned bits,
 }
 
 } // namespace
+
+std::size_t
+NetworkPlan::arenaBytes(std::size_t rows) const
+{
+    // Every layer but FC runs its rows one at a time, rewinding its
+    // scratch between them; FC holds all rows' scratch at once.
+    std::size_t scratch = 0;
+    for (const PlannedLayer &pl : layers_)
+        scratch = std::max(scratch,
+                           pl.layer.kind == dnn::LayerKind::Fc
+                               ? fc_scratch_bytes(pl.layer, bits_, rows)
+                               : pl.scratchBytes);
+    return 2 * TensorArena::paddedBytes<float>(rows
+                                               * stats_.maxActivationElems)
+           + scratch;
+}
 
 PlanStats
 NetworkPlan::estimate(const dnn::Network &net, unsigned bits)

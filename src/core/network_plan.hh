@@ -164,6 +164,14 @@ class NetworkPlan
     const std::vector<PlannedLayer> &layers() const { return layers_; }
     const PlanStats &stats() const { return stats_; }
 
+    /**
+     * Arena bytes one walk over @p rows inputs needs: both activation
+     * buffers hold every row, FC layers hold every row's scratch at
+     * once, other layers one row's. arenaBytes(1) ==
+     * stats().arenaBytes, to the byte.
+     */
+    std::size_t arenaBytes(std::size_t rows) const;
+
     /** Activation elements the input must supply. */
     std::size_t inputElems() const { return inElems_; }
 

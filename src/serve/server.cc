@@ -45,12 +45,6 @@ ServeEngine::replay(const ArrivalTrace &trace)
     rep.outputs.resize(trace.size());
     rep.served.reserve(trace.size());
 
-    core::BatchOptions batchOpts;
-    batchOpts.threads = cfg.threads;
-    batchOpts.geom = cfg.geom;
-    batchOpts.tech = cfg.tech;
-    batchOpts.tier = cfg.tier;
-
     // The in-flight batch: requests dispatched but not yet complete at
     // virtual time. Their outputs are computed at dispatch (host time)
     // and delivered at the batch's modelled completion tick.
@@ -122,8 +116,15 @@ ServeEngine::replay(const ArrivalTrace &trace)
         ptrs.reserve(batch.size());
         for (const Request &r : batch)
             ptrs.push_back(&r.input);
-        core::BatchResult br =
-            core::run_functional_batch(plan, ptrs, batchOpts);
+        if (!workers_) {
+            core::BatchOptions batchOpts;
+            batchOpts.threads = cfg.threads;
+            batchOpts.geom = cfg.geom;
+            batchOpts.tech = cfg.tech;
+            batchOpts.tier = cfg.tier;
+            workers_ = std::make_unique<core::BatchWorkers>(batchOpts);
+        }
+        core::BatchResult br = workers_->run(plan, ptrs);
         rep.datapathStats += br.stats;
         rep.energyJoules += br.energy.total();
 

@@ -4,8 +4,9 @@
  *
  * ServeEngine drives open-loop load (an ArrivalTrace) through the
  * admission-controlled RequestQueue and the ContinuousBatcher, and
- * dispatches each formed batch to the compiled core::NetworkPlan via
- * the pointer-batch run_functional_batch hook. Time is virtual
+ * dispatches each formed batch to the compiled core::NetworkPlan on
+ * the engine's core::BatchWorkers, built on the first dispatch and kept
+ * warm across dispatches and replays. Time is virtual
  * (serve/clock.hh): the engine advances its clock from event to event
  * — next arrival, in-flight completion, batch-window expiry — and a
  * batch's modelled service time is its deterministic BCE cycle count
@@ -14,7 +15,9 @@
  *
  *  - batch compositions depend only on the trace and the config;
  *  - outputs are bit-identical to running the same inputs through
- *    run_functional_batch directly (the dispatch IS that call);
+ *    run_functional_batch directly (the dispatch runs the same
+ *    BatchWorkers code, and warm workers carry no state between
+ *    batches that reaches a result);
  *  - stats and the batch log are byte-identical for any worker-thread
  *    count, because the only parallelism is inside the batch runner,
  *    whose totals are thread-count-invariant by construction (PR 5).
@@ -28,6 +31,7 @@
 #define BFREE_SERVE_SERVER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -146,6 +150,9 @@ class ServeEngine
     const core::NetworkPlan &plan;
     const ServeConfig cfg;
     ServeStats stats_;
+    /** The dispatch workers, built lazily so that constructing an
+     *  engine (a config audit) spawns no threads. */
+    std::unique_ptr<core::BatchWorkers> workers_;
 };
 
 } // namespace bfree::serve

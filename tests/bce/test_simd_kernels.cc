@@ -622,14 +622,15 @@ shape_name(std::size_t m, std::size_t k, std::size_t n, unsigned bits)
 
 TEST(MatmulTile, ShapesExactAgainstLegacyAtEveryLevel)
 {
-    // Every row count of A, every remainder of the four-row BT groups,
-    // and reduction lengths straddling both vector widths plus the
-    // LSTM gate row, over the whole int8 range at 8 bits (pattern()'s
-    // +128 wraps to -128) and the whole analyzer domain [-8, 8] at
-    // 4 bits.
+    // A row counts on both edges of the two- and four-row register
+    // blocks (one row, full blocks, every partial remainder, several
+    // blocks plus one), every remainder of the four-row BT groups, and
+    // reduction lengths straddling both vector widths plus the LSTM
+    // gate row, over the whole int8 range at 8 bits (pattern()'s +128
+    // wraps to -128) and the whole analyzer domain [-8, 8] at 4 bits.
     for (const unsigned bits : {8u, 4u}) {
         const int limit = bits == 8 ? 128 : 8;
-        for (const std::size_t m : {1, 2, 3, 5})
+        for (const std::size_t m : {1, 2, 3, 4, 5, 7, 8, 9, 17})
             for (const std::size_t k :
                  {1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1063})
                 for (const std::size_t n : {1, 3, 4, 5, 9}) {
@@ -721,8 +722,9 @@ TEST(MatmulTile, TileTailsNeverReadPastTheirEnd)
 {
     // A and BT each end on the last byte of a page whose successor is
     // PROT_NONE: a tail load (or a column pass) that strayed past the
-    // last row would fault.
-    const std::size_t m = 2, n = 5;
+    // last row would fault. A's last row closes a full register block,
+    // a partial one, or is the only row.
+    const std::size_t n = 5;
     Guarded ga, gb;
     ASSERT_TRUE(ga.guarded);
     ASSERT_TRUE(gb.guarded);
@@ -731,25 +733,27 @@ TEST(MatmulTile, TileTailsNeverReadPastTheirEnd)
 
     for (const unsigned bits : {8u, 4u}) {
         const int limit = bits == 8 ? 128 : 8;
-        for (std::size_t k = 1; k <= 130; ++k) {
-            const std::vector<std::int8_t> a =
-                pattern(m * k, static_cast<int>(k), limit);
-            const std::vector<std::int8_t> bt =
-                pattern(n * k, static_cast<int>(k) + 70, limit);
-            std::int8_t *const tileA = endA - a.size();
-            std::int8_t *const tileB = endB - bt.size();
-            std::copy(a.begin(), a.end(), tileA);
-            std::copy(bt.begin(), bt.end(), tileB);
-            Engine legacy(ExecTier::Legacy);
-            const std::vector<std::int32_t> want =
-                run_tile(legacy, a.data(), bt.data(), m, k, n, bits);
-            for_each_runnable_level([&](sim::SimdLevel level) {
-                Engine tiered(ExecTier::Tiered);
-                ASSERT_EQ(want,
-                          run_tile(tiered, tileA, tileB, m, k, n, bits))
-                    << sim::simd_level_name(level) << " "
-                    << shape_name(m, k, n, bits);
-            });
+        for (const std::size_t m : {1, 2, 4, 5}) {
+            for (std::size_t k = 1; k <= 130; ++k) {
+                const std::vector<std::int8_t> a =
+                    pattern(m * k, static_cast<int>(k), limit);
+                const std::vector<std::int8_t> bt =
+                    pattern(n * k, static_cast<int>(k) + 70, limit);
+                std::int8_t *const tileA = endA - a.size();
+                std::int8_t *const tileB = endB - bt.size();
+                std::copy(a.begin(), a.end(), tileA);
+                std::copy(bt.begin(), bt.end(), tileB);
+                Engine legacy(ExecTier::Legacy);
+                const std::vector<std::int32_t> want =
+                    run_tile(legacy, a.data(), bt.data(), m, k, n, bits);
+                for_each_runnable_level([&](sim::SimdLevel level) {
+                    Engine tiered(ExecTier::Tiered);
+                    ASSERT_EQ(want,
+                              run_tile(tiered, tileA, tileB, m, k, n, bits))
+                        << sim::simd_level_name(level) << " "
+                        << shape_name(m, k, n, bits);
+                });
+            }
         }
     }
 }
@@ -953,8 +957,8 @@ expect_packed_exact(const std::vector<std::int8_t> &a,
     lut::pack_tile(bt.data(), n, k, packed);
     for_each_runnable_level([&](sim::SimdLevel level) {
         std::vector<std::int32_t> got = init;
-        std::vector<std::int8_t> row;
-        bce::simd::tile_products(a.data(), packed, got.data(), m, row);
+        bce::simd::PackedRows rows;
+        bce::simd::tile_products(a.data(), packed, got.data(), m, rows);
         EXPECT_EQ(want, got) << ctx << " " << sim::simd_level_name(level);
     });
 }
@@ -1011,11 +1015,12 @@ TEST(PackedTile, RowsRoundTripAtEveryWidth)
 TEST(PackedTile, ProductsMatchInt8AtEveryLevel)
 {
     // Ragged reduction lengths on both sides of every group and half
-    // group boundary plus the LSTM gate row, 1, 3 and 8 A rows, and
-    // every remainder of the four-row BT passes. A spans the whole
-    // int8 range, -128 included.
+    // group boundary plus the LSTM gate row, A row counts on both edges
+    // of the two- and four-row register blocks, and every remainder of
+    // the four-row BT passes. A spans the whole int8 range, -128
+    // included.
     for (const std::size_t k : {1, 63, 64, 65, 127, 128, 129, 1063})
-        for (const std::size_t m : {1, 3, 8})
+        for (const std::size_t m : {1, 2, 3, 4, 5, 7, 8, 9, 17})
             for (const std::size_t n : {1, 3, 4, 5, 9}) {
                 const int seed = static_cast<int>(k * 7 + m * 3 + n);
                 std::vector<std::int32_t> init(m * n);
